@@ -1,11 +1,10 @@
 """Dense complex linear algebra over C1.
 
-Everything the componentwise bicomplex computations need: determinants,
-rank-revealing nullspaces and column spaces, an eigensolver with
-multiplicity clustering, and subspace sum/intersection arithmetic.
-Factorizations are delegated to LAPACK (partially pivoted LU for
-determinants, Hessenberg + shifted QR with deflation for eigenvalues,
-column-pivoted QR for rank decisions).
+Everything the componentwise bicomplex computations need: one rank
+decision behind singularity tests, nullspaces and column spaces, an
+eigensolver with multiplicity clustering, and subspace sum/intersection
+arithmetic.  Factorizations are delegated to LAPACK (column-pivoted QR for
+rank decisions, Hessenberg + shifted QR with deflation for eigenvalues).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, NonSquareError
+from .errors import ConvergenceError, NonFiniteValueError, NonSquareError
 from .core import DEFAULT_TOL
 
 #: Default relative tolerance for merging eigenvalues into multiplicities and
@@ -24,14 +23,17 @@ from .core import DEFAULT_TOL
 DEFAULT_CLUSTER_TOL = 1e-8
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix entries must be finite")
-    return m
+def as_carray(a, ndim: int = 2) -> np.ndarray:
+    """Coerce to a complex128 array of the given ndim (1: vector, 2: matrix).
+
+    Raises NonFiniteValueError on a NaN or infinite entry.
+    """
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValueError("array entries must be finite")
+    return arr
 
 
 def frobenius(a) -> float:
@@ -133,54 +135,45 @@ class EigenSet:
         return min((v for v, _ in self.values), key=lambda v: abs(lam - v))
 
 
-def determinant(a) -> complex:
-    """Determinant via partially pivoted LU."""
-    a = as_cmatrix(a)
-    _require_square(a, "determinant")
-    if a.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(a))
+def _rank(a: np.ndarray, r: np.ndarray, tol: float, threshold: float | None) -> int:
+    """Rank of A from the R factor of its column-pivoted QR.
+
+    Diagonal entries of R at or below the threshold (default
+    tol * max(||A||_F, 1) * max(rows, cols)) count as zero, so a tie errs
+    toward rank deficiency.  The floor at 1 keeps near-zero matrices
+    consistent with the scalar classifier.
+    """
+    if threshold is None:
+        threshold = tol * max(frobenius(a), 1.0) * max(a.shape)
+    return int(np.count_nonzero(np.abs(np.diag(r)) > threshold))
 
 
 def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool:
-    """Determinant-based singularity test; ties at the threshold count as singular.
-
-    |det A| is at most sigma_min * ||A||_F**(n-1), so comparing it against
-    tol * max(||A||_F, 1) * ||A||_F**(n-1) fires whenever the smallest
-    singular direction drops below the floored relative threshold (the same
-    floor-at-1 convention the scalar classifier uses for near-zero inputs).
-    """
-    a = as_cmatrix(a)
+    """True iff the rank of the square matrix A is below its size (see _rank)."""
+    a = as_carray(a)
     n = _require_square(a, "is_singular_matrix")
     if n == 0:
         return False
-    s = frobenius(a)
-    if s == 0.0:
-        return True
-    return abs(determinant(a)) <= tol * max(s, 1.0) * s ** (n - 1)
+    r, _ = scipy.linalg.qr(a, mode="r", pivoting=True)
+    return _rank(a, r, tol, None) < n
 
 
 def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CSubspace:
     """Orthonormal basis of {v : A v ≈ 0}.
 
-    Rank is decided by column-pivoted QR: diagonal entries of R at or
-    below the threshold (default tol * max(||A||_F, 1) * max(rows, cols))
-    count as zero, so the decision errs toward a larger nullspace.  The
-    floor at 1 keeps near-zero matrices consistent with the scalar
-    classifier and the determinant route.
+    Rank is decided by column-pivoted QR at the threshold described in
+    _rank, the same decision is_singular_matrix makes, so the decision errs
+    toward a larger nullspace.
     """
-    a = as_cmatrix(a)
+    a = as_carray(a)
     m, n = a.shape
     if n == 0:
         return CSubspace.zero(0)
-    if threshold is None:
-        threshold = tol * max(frobenius(a), 1.0) * max(m, n)
     if m == 0:
         return CSubspace.full(n)
 
-    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > threshold))
+    r, piv = scipy.linalg.qr(a, mode="r", pivoting=True)
+    rank = _rank(a, r, tol, threshold)
     if rank == n:
         return CSubspace.zero(n)
     if rank == 0:
@@ -196,17 +189,13 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
 
 
 def column_space(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CSubspace:
-    """Orthonormal basis of the range of A, rank-revealed by pivoted QR."""
-    a = as_cmatrix(a)
+    """Orthonormal basis of the range of A, rank-revealed by pivoted QR (see _rank)."""
+    a = as_carray(a)
     m, n = a.shape
     if m == 0 or n == 0:
         return CSubspace.zero(m)
-    if threshold is None:
-        threshold = tol * max(frobenius(a), 1.0) * max(m, n)
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > threshold))
-    return CSubspace(m, q[:, :rank])
+    return CSubspace(m, q[:, : _rank(a, r, tol, threshold)])
 
 
 def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:
@@ -243,7 +232,7 @@ def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
 
 def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
     """Clustered spectrum of a square matrix."""
-    a = as_cmatrix(a)
+    a = as_carray(a)
     n = _require_square(a, "eigenvalues")
     if n == 0:
         return EigenSet(())
@@ -264,7 +253,7 @@ def eigen_decompose(
     threshold, so geometric dimension never exceeds what the residual bound
     1e-8 * (1 + ||A||) supports.
     """
-    a = as_cmatrix(a)
+    a = as_carray(a)
     n = _require_square(a, "eigen_decompose")
     es = eigenvalues(a, cluster_tol)
     thr = cluster_tolerance(a, cluster_tol)

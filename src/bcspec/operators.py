@@ -16,25 +16,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex, IdealClass
 from .errors import DimensionMismatchError, NonSquareError
-from .linalg import CSubspace, column_space, is_singular_matrix, nullspace
-
-
-def _as_cvector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got ndim={arr.ndim}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError("vector entries must be finite")
-    return arr
-
-
-def _as_cmatrix2(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError("matrix entries must be finite")
-    return arr
+from .linalg import CSubspace, as_carray, column_space, is_singular_matrix, nullspace
 
 
 class VectorClass(Enum):
@@ -53,8 +35,8 @@ class BicomplexVector:
     plus: np.ndarray
 
     def __post_init__(self):
-        self.minus = _as_cvector(self.minus)
-        self.plus = _as_cvector(self.plus)
+        self.minus = as_carray(self.minus, ndim=1)
+        self.plus = as_carray(self.plus, ndim=1)
         if self.minus.shape != self.plus.shape:
             raise DimensionMismatchError(
                 f"component lengths differ: {self.minus.shape[0]} vs {self.plus.shape[0]}"
@@ -75,13 +57,13 @@ class BicomplexVector:
     @classmethod
     def from_minus(cls, u) -> "BicomplexVector":
         """e1 * u for a complex vector u."""
-        u = _as_cvector(u)
+        u = as_carray(u, ndim=1)
         return cls(u, np.zeros_like(u))
 
     @classmethod
     def from_plus(cls, w) -> "BicomplexVector":
         """e2 * w for a complex vector w."""
-        w = _as_cvector(w)
+        w = as_carray(w, ndim=1)
         return cls(np.zeros_like(w), w)
 
     @property
@@ -141,8 +123,8 @@ class BicomplexMatrix:
     plus: np.ndarray
 
     def __post_init__(self):
-        self.minus = _as_cmatrix2(self.minus)
-        self.plus = _as_cmatrix2(self.plus)
+        self.minus = as_carray(self.minus)
+        self.plus = as_carray(self.plus)
         if self.minus.shape != self.plus.shape:
             raise DimensionMismatchError(
                 f"component shapes differ: {self.minus.shape} vs {self.plus.shape}"
@@ -172,8 +154,8 @@ class BicomplexOperator:
     t2: np.ndarray
 
     def __post_init__(self):
-        self.t1 = _as_cmatrix2(self.t1)
-        self.t2 = _as_cmatrix2(self.t2)
+        self.t1 = as_carray(self.t1)
+        self.t2 = as_carray(self.t2)
         if self.t1.shape != self.t2.shape:
             raise DimensionMismatchError(
                 f"component shapes differ: {self.t1.shape} vs {self.t2.shape}"
@@ -271,7 +253,11 @@ def assemble_pair_basis(pair: tuple[CSubspace, CSubspace]) -> list[BicomplexVect
 
 
 def is_singular_operator(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff t1 or t2 is singular (equivalently, the kernel is nontrivial)."""
+    """True iff t1 or t2 is singular (equivalently, the kernel is nontrivial).
+
+    Each component is decided by the pivoted-QR rank test that kernel uses,
+    at the same threshold, so the verdict agrees with kernel(op, tol).
+    """
     if not op.is_square:
         raise NonSquareError(f"singularity is defined for square operators, got {op.shape}")
     return is_singular_matrix(op.t1, tol) or is_singular_matrix(op.t2, tol)

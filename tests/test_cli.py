@@ -1,6 +1,10 @@
 """End-to-end CLI behaviour: commands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,15 @@ class TestDecompose:
         assert report["operator_singular"] is True
         assert report["entry_classes"][0][0] == "NonSingular"
         assert report["entry_classes"][1][1] == "InI2"
+
+
+    def test_large_scaled_identity_is_nonsingular(self, capsys, tmp_path):
+        eye = [[[10.0 if i == j else 0.0, 0.0] for j in range(200)] for i in range(200)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 200, "t1": eye, "t2": eye}))
+        code, out, _ = run_cli(capsys, "decompose", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["operator_singular"] is False
 
 
 class TestSpectrum:
@@ -247,6 +260,20 @@ class TestErrorHandling:
     def test_malformed_operator_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--input", '{"t1": [[[1,0]]]}')
         assert code == 2
+
+    def test_non_finite_entry_exit_2(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcspec.cli", "spectrum", "--input", '{"t1":[[NaN]],"t2":[[1]]}'],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_env_tolerance_override(self, capsys, monkeypatch):
         # plus component at 1e-5: singular at tol 1e-4, invertible at 1e-10

@@ -1,4 +1,4 @@
-"""Complex linear algebra: determinants, nullspaces, eigensolver, subspace arithmetic."""
+"""Complex linear algebra: rank decisions, nullspaces, eigensolver, subspace arithmetic."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from bcspec import (
     ConvergenceError,
     CSubspace,
     NonSquareError,
-    determinant,
     eigen_decompose,
     eigenvalues,
     is_singular_matrix,
@@ -17,20 +16,6 @@ from bcspec import (
     subspace_sum,
 )
 from bcspec.linalg import cluster_points, cluster_tolerance, frobenius
-
-
-def _cofactor_det(a: np.ndarray) -> complex:
-    """Cofactor-expansion determinant; test oracle, exponential cost."""
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n == 1:
-        return complex(a[0, 0])
-    total = 0.0 + 0.0j
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1) ** j * a[0, j] * _cofactor_det(minor)
-    return total
 
 
 def _companion(roots) -> np.ndarray:
@@ -45,26 +30,6 @@ def _companion(roots) -> np.ndarray:
 
 def _complex_gauss(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert determinant(np.eye(3)) == pytest.approx(1.0)
-
-    def test_projection_is_singular(self):
-        assert determinant(np.array([[1, 0], [0, 0]])) == pytest.approx(0.0)
-
-    def test_matches_cofactor_oracle(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(10):
-            a = _complex_gauss(rng, (4, 4))
-            got = determinant(a)
-            want = _cofactor_det(a)
-            assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(NonSquareError):
-            determinant(np.zeros((2, 3)))
 
 
 class TestNullspace:
@@ -166,7 +131,7 @@ class TestEigenDecompose:
 
 
 class TestSingularityAgreement:
-    def test_determinant_iff_nullspace(self):
+    def test_singular_iff_nullspace(self):
         rng = np.random.default_rng(23)
         for _ in range(10_000):
             n = int(rng.integers(1, 7))
@@ -183,15 +148,24 @@ class TestSingularityAgreement:
                 expect = False
             assert is_singular_matrix(a) == expect
             assert (nullspace(a).dim > 0) == expect
+        with pytest.raises(NonSquareError):
+            is_singular_matrix(np.zeros((2, 3)))
 
     def test_tiny_but_square_is_singular(self):
         # floor-at-1 convention: a near-zero matrix counts as singular
         assert is_singular_matrix(np.array([[1e-16]]))
         assert nullspace(np.array([[1e-16]])).dim == 1
+        rng = np.random.default_rng(41)
+        a = _complex_gauss(rng, (40, 39)) @ _complex_gauss(rng, (39, 40))
+        assert is_singular_matrix(a)
+        assert nullspace(a).dim == 1
 
     def test_small_scaled_identity_is_not(self):
-        assert not is_singular_matrix(0.01 * np.eye(6))
-        assert nullspace(0.01 * np.eye(6)).dim == 0
+        q, r = np.linalg.qr(_complex_gauss(np.random.default_rng(40), (40, 40)))
+        q = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-distributed unitary
+        for a in (0.01 * np.eye(6), np.eye(17), 0.1 * np.eye(50), 10.0 * np.eye(200), q):
+            assert not is_singular_matrix(a)
+            assert nullspace(a).dim == 0
 
 
 class TestClustering:

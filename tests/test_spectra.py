@@ -61,7 +61,7 @@ class TestEigenvalueCriterion:
 
     def test_two_is_not(self, ex_op):
         assert not is_eigenvalue(ex_op, 2.0)
-        # determinant oracle: both shifted components stay nonsingular
+        # singularity route: both shifted components stay nonsingular
         shifted = shift(ex_op, 2.0)
         assert not is_singular_operator(shifted)
 

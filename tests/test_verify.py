@@ -17,6 +17,12 @@ def test_small_run_is_green():
     assert all(s.trials == 6 for s in report.suites)
 
 
+def test_larger_sizes_are_green():
+    for n_min, n_max, trials in ((14, 20, 7), (40, 40, 3)):
+        report = run_verify(trials=trials, n_min=n_min, n_max=n_max)
+        assert report.passed, [(s.name, s.messages[:1]) for s in report.suites if not s.passed]
+
+
 def test_runs_are_deterministic():
     a = run_verify(trials=5, seed=11)
     b = run_verify(trials=5, seed=11)
