@@ -11,7 +11,8 @@ explore-sum  sum/intersection dimensions of two modified eigenspaces
 
 Inputs are JSON files or inline JSON; every report embeds the tolerances and
 seed it used, and identical invocations produce byte-identical output.  Exit
-codes: 0 success/verdict, 1 suite failure, 2 parse/validation error,
+codes: 0 success/verdict, 1 suite failure, 2 parse/validation error (bad
+arguments and numbers too large for float arithmetic included),
 3 numerical non-convergence.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,12 +30,7 @@ from .core import DEFAULT_TOL, Bicomplex
 from .errors import BcspecError, ConvergenceError, ParseError
 from .linalg import DEFAULT_CLUSTER_TOL
 from .operators import classify_vector, is_singular_operator
-from .spectra import (
-    component_spectra,
-    eigenspace_sum,
-    modified_eigenspace,
-    upsilon_description,
-)
+from .spectra import component_spectra, eigenspace_sum, modified_eigenspace
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_sum_search, run_verify
 
 EXIT_OK = 0
@@ -50,9 +47,13 @@ def _default_tol() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ParseError(f"BCSPEC_TOL is not a number: {raw!r}") from exc
-    if value <= 0:
-        raise ParseError(f"BCSPEC_TOL must be positive, got {raw!r}")
+    _check_tolerance("BCSPEC_TOL", value)
     return value
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ParseError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _load_input(raw: str):
@@ -60,10 +61,13 @@ def _load_input(raw: str):
     text = raw.strip()
     if text.startswith("{") or text.startswith("["):
         return jsonio.loads(text)
-    path = Path(raw)
-    if not path.exists():
-        raise ParseError(f"input file not found: {raw}")
-    return jsonio.loads(path.read_text())
+    try:
+        text = Path(raw).read_text()
+    except FileNotFoundError as exc:
+        raise ParseError(f"input file not found: {raw}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input file {raw}: {exc}") from exc
+    return jsonio.loads(text)
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -156,13 +160,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     op = jsonio.parse_operator(_load_input(args.input))
-    report_obj = component_spectra(op, args.cluster_tol)
-    desc = upsilon_description(op, args.cluster_tol, report_obj)
+    spectra = component_spectra(op, args.cluster_tol)
     eigenspaces = []
-    for lam, _ in report_obj.eigenvalues_of_T.values:
-        space = modified_eigenspace(
-            op, Bicomplex.from_complex(lam), args.cluster_tol, report_obj
-        )
+    for lam, _ in spectra.eigenvalues_of_T.values:
+        space = modified_eigenspace(spectra, Bicomplex.from_complex(lam))
         eigenspaces.append(
             {
                 "value": jsonio.complex_to_json(lam),
@@ -175,18 +176,18 @@ def _cmd_spectrum(args) -> int:
         "tol": args.tol,
         "cluster_tol": args.cluster_tol,
         "n": op.n,
-        "upsilon1": _eigenset_json(report_obj.upsilon1),
-        "upsilon2": _eigenset_json(report_obj.upsilon2),
-        "eigenvalues": _eigenset_json(report_obj.eigenvalues_of_T),
-        "modified_spectrum": desc.symbolic(),
+        "upsilon1": _eigenset_json(spectra.upsilon1),
+        "upsilon2": _eigenset_json(spectra.upsilon2),
+        "eigenvalues": _eigenset_json(spectra.eigenvalues_of_T),
+        "modified_spectrum": spectra.symbolic(),
         "eigenspaces": eigenspaces,
     }
     _emit(report, args)
     return EXIT_OK
 
 
-def _space_report(op, kappa: Bicomplex, cluster_tol: float, tol: float, report_obj) -> dict:
-    case = report_obj.classify_modified(kappa)
+def _space_report(spectra, kappa: Bicomplex, tol: float) -> dict:
+    case = spectra.classify_modified(kappa)
     out: dict = {
         "kappa": jsonio.scalar_to_json(kappa),
         "is_modified_eigenvalue": case is not None,
@@ -195,7 +196,7 @@ def _space_report(op, kappa: Bicomplex, cluster_tol: float, tol: float, report_o
     if case is None:
         out["verdict"] = "not a modified eigenvalue"
         return out
-    space = modified_eigenspace(op, kappa, cluster_tol, report_obj)
+    space = modified_eigenspace(spectra, kappa)
     out.update(
         {
             "dimension": space.dim,
@@ -206,7 +207,7 @@ def _space_report(op, kappa: Bicomplex, cluster_tol: float, tol: float, report_o
             "assembled": [jsonio.vector_to_json(v) for v in space.assembled],
             "vector_classes": [classify_vector(v, tol).value for v in space.assembled],
             "all_eigenvectors_singular": space.all_eigenvectors_singular,
-            "max_residual": space.max_residual(op),
+            "max_residual": space.max_residual(spectra.op),
         }
     )
     return out
@@ -215,14 +216,14 @@ def _space_report(op, kappa: Bicomplex, cluster_tol: float, tol: float, report_o
 def _cmd_modified(args) -> int:
     op = jsonio.parse_operator(_load_input(args.input))
     kappa = _parse_kappa(args.kappa, "kappa")
-    report_obj = component_spectra(op, args.cluster_tol)
+    spectra = component_spectra(op, args.cluster_tol)
     report = {
         "command": "modified",
         "tol": args.tol,
         "cluster_tol": args.cluster_tol,
         "n": op.n,
     }
-    report.update(_space_report(op, kappa, args.cluster_tol, args.tol, report_obj))
+    report.update(_space_report(spectra, kappa, args.tol))
     _emit(report, args)
     return EXIT_OK
 
@@ -231,7 +232,7 @@ def _cmd_eigenspace(args) -> int:
     if (args.kappa is None) == (args.lam is None):
         raise ParseError("eigenspace: provide exactly one of --kappa or --lam")
     op = jsonio.parse_operator(_load_input(args.input))
-    report_obj = component_spectra(op, args.cluster_tol)
+    spectra = component_spectra(op, args.cluster_tol)
     if args.lam is not None:
         lam = jsonio.parse_complex(jsonio.loads(args.lam), "lam")
         kappa = Bicomplex.from_complex(lam)
@@ -246,7 +247,7 @@ def _cmd_eigenspace(args) -> int:
         "n": op.n,
     }
     report.update(extra)
-    report.update(_space_report(op, kappa, args.cluster_tol, args.tol, report_obj))
+    report.update(_space_report(spectra, kappa, args.tol))
     if args.lam is not None:
         report["is_eigenvalue"] = report["is_modified_eigenvalue"]
     _emit(report, args)
@@ -321,7 +322,7 @@ def _cmd_explore_sum(args) -> int:
     op = jsonio.parse_operator(_load_input(args.input))
     kappa = _parse_kappa(args.kappa, "kappa")
     kappa2 = _parse_kappa(args.kappa2, "kappa2")
-    result = eigenspace_sum(op, kappa, kappa2, args.cluster_tol, args.tol)
+    result = eigenspace_sum(component_spectra(op, args.cluster_tol), kappa, kappa2, args.tol)
     report = {
         "command": "explore-sum",
         "mode": "explicit",
@@ -388,11 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("explore-sum", help="directness of the sum of two modified eigenspaces")
+    _add_common(p, needs_input=False)
     p.add_argument("--input", default=None, help="path to a JSON file, or inline JSON")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", default=None)
     p.add_argument("--kappa", default=None)
     p.add_argument("--kappa2", default=None)
     p.add_argument("--search", action="store_true", help="sample kappa pairs instead of an explicit pair")
@@ -411,19 +409,19 @@ def main(argv=None) -> int:
     try:
         if args.tol is None:
             args.tol = _default_tol()
-        if args.tol <= 0:
-            raise ParseError(f"--tol must be positive, got {args.tol}")
+        _check_tolerance("--tol", args.tol)
+        _check_tolerance("--cluster-tol", args.cluster_tol)
         if getattr(args, "trials", 1) < 1:
             raise ParseError("--trials must be at least 1")
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except BcspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OverflowError as exc:  # a magnitude beyond float range, e.g. abs(1e308+1.7e308j)
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -39,9 +39,13 @@ class IdealClass(Enum):
     NONSINGULAR = "NonSingular"
 
 
+def _is_finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 def _finite_complex(value, what: str) -> complex:
     z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not _is_finite(z):
         raise NonFiniteValueError(f"{what} must be finite, got {z!r}")
     return z
 
@@ -81,8 +85,13 @@ class Bicomplex:
 
     def to_cartesian(self) -> tuple[complex, complex]:
         """Return (z1, z2) with x = z1 + i2*z2."""
-        z1 = (self.minus + self.plus) / 2
-        z2 = 1j * (self.minus - self.plus) / 2
+        total = self.minus + self.plus
+        diff = self.minus - self.plus
+        # Near the top of the float range the sum or difference overflows, and
+        # complex division turns the infinity into NaN; halve first only there,
+        # since halving first flips the sign of some zeros.
+        z1 = total / 2 if _is_finite(total) else self.minus / 2 + self.plus / 2
+        z2 = 1j * diff / 2 if _is_finite(diff) else 1j * (self.minus / 2 - self.plus / 2)
         return z1, z2
 
     def to_real(self) -> tuple[float, float, float, float]:

@@ -41,5 +41,9 @@ class NotModifiedEigenvalueError(BcspecError):
     """The given bicomplex scalar is not a modified eigenvalue of the operator."""
 
 
+class InvalidArgumentError(BcspecError, ValueError):
+    """An argument lies outside its domain: equal kappas, a bad seed or size range."""
+
+
 class ParseError(BcspecError):
     """Malformed JSON input; the message carries field or position context."""

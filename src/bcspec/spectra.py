@@ -19,19 +19,23 @@ Terminology, for an operator acting on C2^n:
   (multiples of e1 or of e2).
 
 The modified spectrum is therefore represented intensionally by (Y1, Y2)
-plus the cylinder rule; it is never materialized.
+plus the cylinder rule; it is never materialized.  component_spectra computes
+that analysis once per operator as a SpectrumReport, and every query below
+takes the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex
 from .errors import (
     BaseNotEigenvalueError,
+    InvalidArgumentError,
     NonSquareError,
     NotEigenvalueError,
     NotModifiedEigenvalueError,
@@ -64,15 +68,19 @@ class ModifiedEigenvalue:
     case: ModifiedCase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Component spectra of T plus their membership tolerances.
+    """The spectral analysis of one square operator T = e1*T1 + e2*T2.
 
+    Every eigenvalue, modified-eigenvalue, family, containment and eigenspace
+    query is a question to this object: the component spectra Y1 and Y2, their
+    absolute membership tolerances, and the cylinder rule over them.
     eigenvalues_of_T is the clustered union of upsilon1 and upsilon2 with
     multiplicities summed across components (the spectrum of the block
     embedding diag(t1, t2) as a multiset).
     """
 
+    op: BicomplexOperator
     upsilon1: EigenSet
     upsilon2: EigenSet
     eigenvalues_of_T: EigenSet
@@ -86,10 +94,14 @@ class SpectrumReport:
         return self.upsilon2.contains(lam, self.tol2)
 
     def is_eigenvalue(self, lam) -> bool:
+        """lambda is an eigenvalue of T iff it lies in Y1 ∪ Y2."""
         return self.in_upsilon1(lam) or self.in_upsilon2(lam)
 
     def classify_modified(self, kappa: Bicomplex) -> ModifiedCase | None:
-        """Case tag for kappa, or None when kappa is not modified."""
+        """Case tag for kappa, or None when kappa is not modified.
+
+        kappa is modified iff kappa^- in Y1 or kappa^+ in Y2; the case says which.
+        """
         m1 = self.in_upsilon1(kappa.minus)
         m2 = self.in_upsilon2(kappa.plus)
         if m1 and m2:
@@ -100,94 +112,8 @@ class SpectrumReport:
             return ModifiedCase.ONLY_PLUS
         return None
 
-
-def component_spectra(
-    op: BicomplexOperator, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> SpectrumReport:
-    """Y1 = spectrum of t1, Y2 = spectrum of t2, and their clustered union."""
-    if not op.is_square:
-        raise NonSquareError(f"spectra need a square operator, got {op.shape}")
-    u1 = eigenvalues(op.t1, cluster_tol)
-    u2 = eigenvalues(op.t2, cluster_tol)
-    tol1 = cluster_tolerance(op.t1, cluster_tol)
-    tol2 = cluster_tolerance(op.t2, cluster_tol)
-    combined: list[complex] = u1.multiset() + u2.multiset()
-    union = EigenSet(tuple(cluster_points(combined, max(tol1, tol2))))
-    return SpectrumReport(u1, u2, union, tol1, tol2)
-
-
-def is_eigenvalue(
-    op: BicomplexOperator,
-    lam,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    report: SpectrumReport | None = None,
-) -> bool:
-    """lambda is an eigenvalue of T iff it lies in Y1 ∪ Y2."""
-    if report is None:
-        report = component_spectra(op, cluster_tol)
-    return report.is_eigenvalue(lam)
-
-
-def is_modified_eigenvalue(
-    op: BicomplexOperator,
-    kappa: Bicomplex,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    report: SpectrumReport | None = None,
-) -> tuple[bool, ModifiedCase | None]:
-    """kappa is modified iff kappa^- in Y1 or kappa^+ in Y2; the case says which."""
-    if report is None:
-        report = component_spectra(op, cluster_tol)
-    case = report.classify_modified(kappa)
-    return case is not None, case
-
-
-def modified_family(
-    op: BicomplexOperator,
-    from_minus: bool,
-    base,
-    samples,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    report: SpectrumReport | None = None,
-) -> list[ModifiedEigenvalue]:
-    """The infinite one-parameter family through a component eigenvalue.
-
-    With base in Y1, every base*e1 + w*e2 is a modified eigenvalue, for all
-    complex w; symmetrically for base in Y2.  Returns the family at the given
-    sample points.
-    """
-    if report is None:
-        report = component_spectra(op, cluster_tol)
-    base = complex(base)
-    if from_minus:
-        if not report.in_upsilon1(base):
-            raise BaseNotEigenvalueError(f"{base} is not in the spectrum of t1")
-    else:
-        if not report.in_upsilon2(base):
-            raise BaseNotEigenvalueError(f"{base} is not in the spectrum of t2")
-    out = []
-    for w in samples:
-        kappa = Bicomplex(base, complex(w)) if from_minus else Bicomplex(complex(w), base)
-        case = report.classify_modified(kappa)
-        assert case is not None
-        out.append(ModifiedEigenvalue(kappa, case))
-    return out
-
-
-@dataclass(frozen=True)
-class UpsilonDescription:
-    """Intensional description of the modified spectrum: (Y1 xe C1) ∪ (C1 xe Y2)."""
-
-    upsilon1: EigenSet
-    upsilon2: EigenSet
-    tol1: float
-    tol2: float
-
-    def contains(self, kappa: Bicomplex) -> bool:
-        return self.upsilon1.contains(kappa.minus, self.tol1) or self.upsilon2.contains(
-            kappa.plus, self.tol2
-        )
-
     def symbolic(self) -> str:
+        """The modified spectrum as a union of two cylinders: (Y1 xe C1) ∪ (C1 xe Y2)."""
         return f"({_set_str(self.upsilon1)} xe C1) U (C1 xe {_set_str(self.upsilon2)})"
 
 
@@ -203,15 +129,40 @@ def _set_str(es: EigenSet) -> str:
     return "{" + ", ".join(_format_complex(v) for v in es.value_list()) + "}"
 
 
-def upsilon_description(
-    op: BicomplexOperator,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    report: SpectrumReport | None = None,
-) -> UpsilonDescription:
-    """The modified spectrum as a union of two cylinders over (Y1, Y2)."""
-    if report is None:
-        report = component_spectra(op, cluster_tol)
-    return UpsilonDescription(report.upsilon1, report.upsilon2, report.tol1, report.tol2)
+def component_spectra(
+    op: BicomplexOperator, cluster_tol: float = DEFAULT_CLUSTER_TOL
+) -> SpectrumReport:
+    """Y1 = spectrum of t1, Y2 = spectrum of t2, and their clustered union."""
+    if not op.is_square:
+        raise NonSquareError(f"spectra need a square operator, got {op.shape}")
+    u1 = eigenvalues(op.t1, cluster_tol)
+    u2 = eigenvalues(op.t2, cluster_tol)
+    tol1 = cluster_tolerance(op.t1, cluster_tol)
+    tol2 = cluster_tolerance(op.t2, cluster_tol)
+    combined: list[complex] = u1.multiset() + u2.multiset()
+    union = EigenSet(tuple(cluster_points(combined, max(tol1, tol2))))
+    return SpectrumReport(op, u1, u2, union, tol1, tol2)
+
+
+def modified_family(
+    report: SpectrumReport, from_minus: bool, base, samples
+) -> list[ModifiedEigenvalue]:
+    """The infinite one-parameter family through a component eigenvalue.
+
+    With base in Y1, every base*e1 + w*e2 is a modified eigenvalue, for all
+    complex w; symmetrically for base in Y2.  Returns the family at the given
+    sample points.
+    """
+    base = complex(base)
+    if not (report.in_upsilon1(base) if from_minus else report.in_upsilon2(base)):
+        raise BaseNotEigenvalueError(f"{base} is not in the spectrum of t{1 if from_minus else 2}")
+    out = []
+    for w in samples:
+        kappa = Bicomplex(base, complex(w)) if from_minus else Bicomplex(complex(w), base)
+        case = report.classify_modified(kappa)
+        assert case is not None
+        out.append(ModifiedEigenvalue(kappa, case))
+    return out
 
 
 @dataclass
@@ -229,13 +180,7 @@ class ContainmentRecord:
     witness: ModifiedEigenvalue | None
 
 
-def contains_idempotent_product(
-    op: BicomplexOperator,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    report: SpectrumReport | None = None,
-) -> ContainmentRecord:
-    if report is None:
-        report = component_spectra(op, cluster_tol)
+def contains_idempotent_product(report: SpectrumReport) -> ContainmentRecord:
     pairs = []
     all_ok = True
     for k1 in report.upsilon1.value_list():
@@ -265,24 +210,31 @@ class ModifiedEigenspace:
 
     The space splits componentwise: minus_basis spans the t1-eigenspace of
     kappa^- (zero space when kappa^- is not an eigenvalue), plus_basis the
-    t2-eigenspace of kappa^+.  assembled holds the lifted basis
-    {e1*u_k} ∪ {e2*w_j}; its length is the dimension over C1.
-
-    all_eigenvectors_singular records the structural guarantee of the
-    one-sided cases: every member is then a multiple of e1 (or of e2), hence
-    a singular vector.  In the Both case the flag is False.
+    t2-eigenspace of kappa^+.
     """
 
     kappa: Bicomplex
     case: ModifiedCase
     minus_basis: CSubspace
     plus_basis: CSubspace
-    assembled: list[BicomplexVector]
-    all_eigenvectors_singular: bool
 
     @property
     def dim(self) -> int:
         return self.minus_basis.dim + self.plus_basis.dim
+
+    @cached_property
+    def assembled(self) -> list[BicomplexVector]:
+        """The lifted basis {e1*u_k} ∪ {e2*w_j}; its length is the dimension over C1."""
+        return assemble_pair_basis((self.minus_basis, self.plus_basis))
+
+    @property
+    def all_eigenvectors_singular(self) -> bool:
+        """The structural guarantee of the one-sided cases.
+
+        Every member is then a multiple of e1 (or of e2), hence a singular
+        vector.  In the Both case the flag is False.
+        """
+        return self.case is not ModifiedCase.BOTH
 
     def max_residual(self, op: BicomplexOperator) -> float:
         """Largest ||T v - kappa v|| over the assembled basis."""
@@ -292,56 +244,33 @@ class ModifiedEigenspace:
         return worst
 
 
-def modified_eigenspace(
-    op: BicomplexOperator,
-    kappa: Bicomplex,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    report: SpectrumReport | None = None,
-) -> ModifiedEigenspace:
-    """Component eigenspaces of kappa assembled per the case structure."""
-    if report is None:
-        report = component_spectra(op, cluster_tol)
+def modified_eigenspace(report: SpectrumReport, kappa: Bicomplex) -> ModifiedEigenspace:
+    """Component eigenspaces of kappa assembled per the case structure.
+
+    Each side's nullspace threshold is its membership tolerance.
+    """
     case = report.classify_modified(kappa)
     if case is None:
         raise NotModifiedEigenvalueError(f"{kappa} is not a modified eigenvalue")
-    n = op.n
-    eye = np.eye(n, dtype=np.complex128)
-    if case in (ModifiedCase.ONLY_MINUS, ModifiedCase.BOTH):
-        minus_basis = nullspace(
-            op.t1 - kappa.minus * eye, threshold=cluster_tolerance(op.t1, cluster_tol)
-        )
+    op = report.op
+    eye = np.eye(op.n, dtype=np.complex128)
+    if case is ModifiedCase.ONLY_PLUS:
+        minus_basis = CSubspace.zero(op.n)
     else:
-        minus_basis = CSubspace.zero(n)
-    if case in (ModifiedCase.ONLY_PLUS, ModifiedCase.BOTH):
-        plus_basis = nullspace(
-            op.t2 - kappa.plus * eye, threshold=cluster_tolerance(op.t2, cluster_tol)
-        )
+        minus_basis = nullspace(op.t1 - kappa.minus * eye, threshold=report.tol1)
+    if case is ModifiedCase.ONLY_MINUS:
+        plus_basis = CSubspace.zero(op.n)
     else:
-        plus_basis = CSubspace.zero(n)
-    assembled = assemble_pair_basis((minus_basis, plus_basis))
-    return ModifiedEigenspace(
-        kappa=kappa,
-        case=case,
-        minus_basis=minus_basis,
-        plus_basis=plus_basis,
-        assembled=assembled,
-        all_eigenvectors_singular=case is not ModifiedCase.BOTH,
-    )
+        plus_basis = nullspace(op.t2 - kappa.plus * eye, threshold=report.tol2)
+    return ModifiedEigenspace(kappa, case, minus_basis, plus_basis)
 
 
-def eigenspace(
-    op: BicomplexOperator,
-    lam,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    report: SpectrumReport | None = None,
-) -> ModifiedEigenspace:
+def eigenspace(report: SpectrumReport, lam) -> ModifiedEigenspace:
     """Eigenspace of a complex eigenvalue: the modified eigenspace of its diagonal embedding."""
-    if report is None:
-        report = component_spectra(op, cluster_tol)
     lam = complex(lam)
     if not report.is_eigenvalue(lam):
         raise NotEigenvalueError(f"{lam} is not an eigenvalue")
-    return modified_eigenspace(op, Bicomplex.from_complex(lam), cluster_tol, report)
+    return modified_eigenspace(report, Bicomplex.from_complex(lam))
 
 
 @dataclass(frozen=True)
@@ -364,19 +293,12 @@ class EigenspaceSumReport:
 
 
 def eigenspace_sum(
-    op: BicomplexOperator,
-    kappa: Bicomplex,
-    kappa_prime: Bicomplex,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    tol: float = DEFAULT_TOL,
-    report: SpectrumReport | None = None,
+    report: SpectrumReport, kappa: Bicomplex, kappa_prime: Bicomplex, tol: float = DEFAULT_TOL
 ) -> EigenspaceSumReport:
     if kappa == kappa_prime:
-        raise ValueError("the two modified eigenvalues must differ")
-    if report is None:
-        report = component_spectra(op, cluster_tol)
-    first = modified_eigenspace(op, kappa, cluster_tol, report)
-    second = modified_eigenspace(op, kappa_prime, cluster_tol, report)
+        raise InvalidArgumentError("the two modified eigenvalues must differ")
+    first = modified_eigenspace(report, kappa)
+    second = modified_eigenspace(report, kappa_prime)
     sum_dim = 0
     inter_dim = 0
     for a, b in (

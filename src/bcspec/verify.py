@@ -44,12 +44,10 @@ from .spectra import (
     component_spectra,
     contains_idempotent_product,
     eigenspace_sum,
-    is_modified_eigenvalue,
     modified_eigenspace,
     modified_family,
-    upsilon_description,
 )
-from .errors import BaseNotEigenvalueError
+from .errors import BaseNotEigenvalueError, InvalidArgumentError
 
 DEFAULT_SEED = 20240901
 DEFAULT_TRIALS = 500
@@ -115,6 +113,13 @@ def _singular_by_elimination(a: np.ndarray, tol: float) -> bool:
     """Singularity by Gauss-Jordan elimination, at the primary rank threshold."""
     threshold = tol * max(frobenius(a), 1.0) * max(a.shape)
     return elimination_nullspace(a, threshold).shape[1] > 0
+
+
+def _check_sampling(seed: int, n_min: int, n_max: int) -> None:
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    if not (1 <= n_min <= n_max):
+        raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
 
 
 def _residual_bound(op: BicomplexOperator, cluster_tol: float) -> float:
@@ -282,7 +287,7 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol, fault):
         Bicomplex(far, far2),
     ]
     for kappa in kappas:
-        verdict, case = is_modified_eigenvalue(op, kappa, cluster_tol, report)
+        verdict = report.classify_modified(kappa) is not None
         membership = report.in_upsilon1(kappa.minus) or report.in_upsilon2(kappa.plus)
         brute_dim = brute_modified_eigenspace(op, kappa, cluster_tol).dim
         singular = is_singular_operator(shift(op, kappa), tol)
@@ -292,21 +297,20 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol, fault):
             verdict == (brute_dim > 0),
             f"criterion {verdict} vs block nullspace dim {brute_dim} at {kappa}",
         )
-        check(verdict == (case is not None), "verdict and case tag inconsistent")
 
 
 def _suite_containment(check, rng, n, tol, cluster_tol, fault):
     planted = random_operator(rng.child(0), n, "shared-eigenvalue")
     op = planted.operator
     report = component_spectra(op, cluster_tol)
-    rec = contains_idempotent_product(op, cluster_tol, report)
+    rec = contains_idempotent_product(report)
     check(rec.all_pairs_modified, "a grid pair failed the modified-eigenvalue test")
     for pair in rec.pairs:
         check(pair.case is ModifiedCase.BOTH, f"grid pair {pair.kappa} not tagged Both")
     check(rec.witness is not None, "no proper-containment witness produced")
     if rec.witness is not None:
-        verdict, case = is_modified_eigenvalue(op, rec.witness.kappa, cluster_tol, report)
-        check(verdict, "witness rejected by the modified-eigenvalue test")
+        witness_case = report.classify_modified(rec.witness.kappa)
+        check(witness_case is not None, "witness rejected by the modified-eigenvalue test")
         in_grid = report.in_upsilon1(rec.witness.kappa.minus) and report.in_upsilon2(
             rec.witness.kappa.plus
         )
@@ -320,13 +324,11 @@ def _suite_infinite_family(check, rng, n, tol, cluster_tol, fault):
     gen = rng.generator()
     samples = [0.0, complex(complex_normal(gen)) * 3.0, complex(complex_normal(gen)) * 30.0]
     base1 = report.upsilon1.value_list()[0]
-    for member in modified_family(op, True, base1, samples, cluster_tol, report):
-        verdict, _ = is_modified_eigenvalue(op, member.kappa, cluster_tol, report)
-        check(verdict, f"family member {member.kappa} rejected")
     base2 = report.upsilon2.value_list()[0]
-    for member in modified_family(op, False, base2, samples, cluster_tol, report):
-        verdict, _ = is_modified_eigenvalue(op, member.kappa, cluster_tol, report)
-        check(verdict, f"family member {member.kappa} rejected")
+    members = modified_family(report, True, base1, samples)
+    members += modified_family(report, False, base2, samples)
+    for member in members:
+        check(report.classify_modified(member.kappa) is not None, f"family member {member.kappa} rejected")
     probe = Bicomplex(base1, samples[1])
     check(
         brute_modified_eigenspace(op, probe, cluster_tol).dim > 0,
@@ -334,7 +336,7 @@ def _suite_infinite_family(check, rng, n, tol, cluster_tol, fault):
     )
     outside = _far_scalar(gen, report.upsilon1)
     try:
-        modified_family(op, True, outside, samples, cluster_tol, report)
+        modified_family(report, True, outside, samples)
         check(False, "family accepted a base outside the spectrum")
     except BaseNotEigenvalueError:
         pass
@@ -344,7 +346,6 @@ def _suite_cylinder_structure(check, rng, n, tol, cluster_tol, fault):
     planted = random_operator(rng.child(0), n, "shared-eigenvalue")
     op = planted.operator
     report = component_spectra(op, cluster_tol)
-    desc = upsilon_description(op, cluster_tol, report)
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
     kappas = [
@@ -355,9 +356,9 @@ def _suite_cylinder_structure(check, rng, n, tol, cluster_tol, fault):
     for _ in range(17):
         kappas.append(random_scalar(rng.child(int(gen.integers(1 << 30))), 2.0))
     for kappa in kappas:
-        verdict, _ = is_modified_eigenvalue(op, kappa, cluster_tol, report)
+        on_cylinder = report.in_upsilon1(kappa.minus) or report.in_upsilon2(kappa.plus)
         check(
-            desc.contains(kappa) == verdict,
+            on_cylinder == (report.classify_modified(kappa) is not None),
             f"cylinder description disagrees with the criterion at {kappa}",
         )
 
@@ -378,7 +379,7 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol, fault):
     ]
     bound = _residual_bound(op, cluster_tol)
     for kappa in kappas:
-        space = modified_eigenspace(op, kappa, cluster_tol, report)
+        space = modified_eigenspace(report, kappa)
         brute = brute_modified_eigenspace(op, kappa, cluster_tol)
         check(
             space.dim == brute.dim,
@@ -400,7 +401,7 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol, fault):
             check(not space.all_eigenvectors_singular, "Both case must not flag singular")
     # rejection test: a vector outside the eigenspace has a clearly positive residual
     kappa = kappas[0]
-    space = modified_eigenspace(op, kappa, cluster_tol, report)
+    space = modified_eigenspace(report, kappa)
     brute = brute_modified_eigenspace(op, kappa, cluster_tol)
     for attempt in range(20):
         probe = random_vector(rng.child(7, attempt), n)
@@ -424,8 +425,7 @@ def _suite_existence(check, rng, n, tol, cluster_tol, fault):
         "component spectra both empty",
     )
     kappa = Bicomplex(report.upsilon1.value_list()[0], 0.0)
-    verdict, _ = is_modified_eigenvalue(op, kappa, cluster_tol, report)
-    check(verdict, "no modified eigenvalue despite a nonempty spectrum")
+    check(report.classify_modified(kappa) is not None, "no modified eigenvalue despite a nonempty spectrum")
 
 
 def _suite_block_spectrum(check, rng, n, tol, cluster_tol, fault):
@@ -464,8 +464,8 @@ def _suite_similarity_invariance(check, rng, n, tol, cluster_tol, fault):
         Bicomplex(far, far),
     ]
     for kappa in kappas:
-        before, _ = is_modified_eigenvalue(op, kappa, cluster_tol, report)
-        after, _ = is_modified_eigenvalue(conjugated, kappa, cluster_tol, report2)
+        before = report.classify_modified(kappa) is not None
+        after = report2.classify_modified(kappa) is not None
         check(before == after, f"membership changed under similarity at {kappa}")
 
 
@@ -555,9 +555,8 @@ def run_verify(
 ) -> VerifyReport:
     """Run every suite for `trials` seeded trials with n cycling n_min..n_max."""
     if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not (1 <= n_min <= n_max):
-        raise ValueError("need 1 <= n_min <= n_max")
+        raise InvalidArgumentError("trials must be at least 1")
+    _check_sampling(seed, n_min, n_max)
     span = n_max - n_min + 1
     results = []
     for suite_index, (name, statement, fn) in enumerate(SUITES):
@@ -609,7 +608,8 @@ def run_sum_search(
     max_witnesses: int = 10,
 ) -> SumSearchReport:
     """Sample pairs of modified eigenvalues and test whether their eigenspace sum is direct."""
-    span = max(n_max - n_min + 1, 1)
+    _check_sampling(seed, n_min, n_max)
+    span = n_max - n_min + 1
     direct = 0
     non_direct = 0
     witnesses: list[dict] = []
@@ -633,7 +633,7 @@ def run_sum_search(
         kappa, kappa2 = pool[i], pool[j]
         if kappa == kappa2:
             continue
-        res = eigenspace_sum(op, kappa, kappa2, cluster_tol, tol, report)
+        res = eigenspace_sum(report, kappa, kappa2, tol)
         if res.is_direct:
             direct += 1
         else:

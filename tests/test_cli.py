@@ -257,6 +257,19 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "spectrum", "--input", "no_such_file.json")
         assert code == 2 and "not found" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "name-too-long", "not-utf8"])
+    def test_unreadable_input_exit_2(self, capsys, tmp_path, kind):
+        if kind == "directory":
+            target = str(tmp_path)
+        elif kind == "name-too-long":
+            target = "a" * 5000
+        else:
+            target = str(tmp_path / "op.json")
+            Path(target).write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(capsys, "spectrum", "--input", target)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read input file")
+
     def test_malformed_operator_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--input", '{"t1": [[[1,0]]]}')
         assert code == 2
@@ -287,6 +300,41 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "decompose", "--input", '{"idem":[1,0,1e-5,0]}')
         assert code == 2 and "BCSPEC_TOL" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explore-sum", "--kappa", '{"idem":[1,0,2,0]}', "--kappa2", '{"idem":[1,0,2,0]}'],
+            ["verify", "--n-min", "0", "--trials", "1"],
+            ["verify", "--n-min", "5", "--n-max", "3"],
+            ["verify", "--seed", "-1", "--trials", "1"],
+            ["explore-sum", "--search", "--n-min", "0"],
+            ["explore-sum", "--search", "--n-min", "3", "--n-max", "2"],
+            ["explore-sum", "--search", "--seed", "-1", "--trials", "1"],
+        ],
+        ids=["equal-kappas", "verify-n-min-0", "verify-empty-range", "verify-negative-seed",
+             "search-n-min-0", "search-empty-range", "search-negative-seed"],
+    )
+    def test_invalid_argument_exit_2(self, capsys, op_file, argv):
+        if argv[0] == "explore-sum" and "--search" not in argv:
+            argv = [*argv, "--input", op_file]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, op_file, flag, value):
+        code, out, err = run_cli(capsys, "spectrum", "--input", op_file, f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} must be finite and positive")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_env_tolerance_must_be_finite_and_positive(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BCSPEC_TOL", value)
+        code, out, err = run_cli(capsys, "decompose", "--input", '{"idem":[1,0,2,0]}')
+        assert code == 2 and out == ""
+        assert err.startswith("error: BCSPEC_TOL must be finite and positive")
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BCSPEC_TOL", "1e-4")
         code, out, _ = run_cli(
@@ -311,6 +359,16 @@ class TestOutputModes:
         code, out, _ = run_cli(capsys, "spectrum", "--input", op_file, "--format", "text")
         assert code == 0
         assert "modified_spectrum: ({0, 1} xe C1) U (C1 xe {1})" in out
+
+    def test_no_nan_near_overflow(self, capsys, op_file):
+        code, out, _ = run_cli(capsys, "eigenspace", "--input", op_file, "--lam", "[1e308,1e308]")
+        assert code == 0
+
+        def reject(token):
+            raise AssertionError(f"{token} in a JSON report")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["kappa"]["cart"] == [1e308, 1e308, 0.0, 0.0]
 
     def test_byte_identical_reports(self, capsys, op_file):
         _, first, _ = run_cli(capsys, "spectrum", "--input", op_file)

@@ -43,6 +43,13 @@ class TestConstruction:
         z1, z2 = Bicomplex(-1j, 1j).to_cartesian()
         assert z1 == 0.0 and z2 == 1.0
 
+    def test_to_cartesian_near_overflow(self):
+        # minus + plus and minus - plus overflow; the halves do not
+        big = 1e308 + 1e308j
+        assert Bicomplex(big, big).to_cartesian() == (big, 0.0)
+        assert Bicomplex(1e308, -1e308).to_cartesian() == (0.0, 1e308j)
+        assert Bicomplex(-1e308, 1e308).to_cartesian() == (0.0, -1e308j)
+
     def test_from_real(self):
         assert Bicomplex.from_real(1, 0, 0, 0) == Bicomplex(1.0, 1.0)
         assert Bicomplex.from_real(0.5, 0, 0, 0.5) == Bicomplex(1.0, 0.0)

@@ -17,13 +17,10 @@ from bcspec import (
     contains_idempotent_product,
     eigenspace,
     eigenspace_sum,
-    is_eigenvalue,
-    is_modified_eigenvalue,
     is_singular_operator,
     modified_eigenspace,
     modified_family,
     shift,
-    upsilon_description,
 )
 from bcspec.oracle import brute_modified_eigenspace, residual
 
@@ -32,12 +29,25 @@ def _values(eigenset):
     return sorted(eigenset.value_list(), key=lambda z: (z.real, z.imag))
 
 
+def _is_eigenvalue(op, lam):
+    return component_spectra(op).is_eigenvalue(lam)
+
+
+def _modified_verdict(op, kappa):
+    """The criterion's verdict and case tag, both read off the report."""
+    case = component_spectra(op).classify_modified(kappa)
+    return case is not None, case
+
+
 class TestComponentSpectra:
     def test_worked_example(self, ex_op):
         rep = component_spectra(ex_op)
         assert _values(rep.upsilon1) == [0.0, 1.0]
         assert _values(rep.upsilon2) == [1.0]
         assert _values(rep.eigenvalues_of_T) == [0.0, 1.0]
+
+    def test_report_owns_its_operator(self, ex_op):
+        assert component_spectra(ex_op).op is ex_op
 
     def test_zero_operator(self):
         rep = component_spectra(BicomplexOperator.zero(2))
@@ -57,73 +67,73 @@ class TestComponentSpectra:
 
 class TestEigenvalueCriterion:
     def test_one_is_eigenvalue(self, ex_op):
-        assert is_eigenvalue(ex_op, 1.0)
+        assert _is_eigenvalue(ex_op, 1.0)
 
     def test_two_is_not(self, ex_op):
-        assert not is_eigenvalue(ex_op, 2.0)
+        assert not _is_eigenvalue(ex_op, 2.0)
         # singularity route: both shifted components stay nonsingular
         shifted = shift(ex_op, 2.0)
         assert not is_singular_operator(shifted)
 
     def test_identity(self):
-        assert is_eigenvalue(BicomplexOperator.identity(3), 1.0)
+        assert _is_eigenvalue(BicomplexOperator.identity(3), 1.0)
 
     def test_agrees_with_shifted_singularity(self, ex_op):
         for lam in [0.0, 1.0, 2.0, -1.0, 1j]:
-            assert is_eigenvalue(ex_op, lam) == is_singular_operator(shift(ex_op, lam))
+            assert _is_eigenvalue(ex_op, lam) == is_singular_operator(shift(ex_op, lam))
 
 
 class TestModifiedCriterion:
     def test_one_sided_member(self, ex_op):
-        verdict, case = is_modified_eigenvalue(ex_op, Bicomplex(1.0, 2.0))
+        verdict, case = _modified_verdict(ex_op, Bicomplex(1.0, 2.0))
         assert verdict and case is ModifiedCase.ONLY_MINUS
 
     def test_family_members(self, ex_op):
         for r in [0.0, 5.0, 1j]:
-            verdict, _ = is_modified_eigenvalue(ex_op, Bicomplex(1.0, r))
+            verdict, _ = _modified_verdict(ex_op, Bicomplex(1.0, r))
             assert verdict
 
     def test_non_member(self, ex_op):
-        verdict, case = is_modified_eigenvalue(ex_op, Bicomplex(7.0, 9.0))
+        verdict, case = _modified_verdict(ex_op, Bicomplex(7.0, 9.0))
         assert not verdict and case is None
         assert not is_singular_operator(shift(ex_op, Bicomplex(7.0, 9.0)))
 
     def test_both_case(self, ex_op):
-        verdict, case = is_modified_eigenvalue(ex_op, Bicomplex(1.0, 1.0))
+        verdict, case = _modified_verdict(ex_op, Bicomplex(1.0, 1.0))
         assert verdict and case is ModifiedCase.BOTH
 
     def test_only_plus_case(self, ex_op):
-        verdict, case = is_modified_eigenvalue(ex_op, Bicomplex(9.0, 1.0))
+        verdict, case = _modified_verdict(ex_op, Bicomplex(9.0, 1.0))
         assert verdict and case is ModifiedCase.ONLY_PLUS
 
 
 class TestModifiedFamily:
     def test_family_through_one(self, ex_op):
-        members = modified_family(ex_op, True, 1.0, [0.0, 2.0, 1j, 1 + 1j])
+        members = modified_family(component_spectra(ex_op), True, 1.0, [0.0, 2.0, 1j, 1 + 1j])
         assert len(members) == 4
         for m in members:
-            verdict, _ = is_modified_eigenvalue(ex_op, m.kappa)
+            verdict, _ = _modified_verdict(ex_op, m.kappa)
             assert verdict
             assert m.kappa.minus == 1.0
 
     def test_family_through_zero(self, ex_op):
-        members = modified_family(ex_op, True, 0.0, [3.0])
+        members = modified_family(component_spectra(ex_op), True, 0.0, [3.0])
         assert members[0].kappa == Bicomplex(0.0, 3.0)
-        verdict, _ = is_modified_eigenvalue(ex_op, members[0].kappa)
+        verdict, _ = _modified_verdict(ex_op, members[0].kappa)
         assert verdict
 
     def test_plus_side_family(self, ex_op):
-        members = modified_family(ex_op, False, 1.0, [7.0])
+        members = modified_family(component_spectra(ex_op), False, 1.0, [7.0])
         assert members[0].kappa == Bicomplex(7.0, 1.0)
 
     def test_base_outside_rejected(self, ex_op):
         with pytest.raises(BaseNotEigenvalueError):
-            modified_family(ex_op, True, 4.0, [0.0])
+            modified_family(component_spectra(ex_op), True, 4.0, [0.0])
 
 
 class TestUpsilonDescription:
     def test_symbolic_form(self, ex_op):
-        desc = upsilon_description(ex_op)
+        desc = component_spectra(ex_op)
         assert desc.symbolic() == "({0, 1} xe C1) U (C1 xe {1})"
 
     def test_predicate_matches_membership(self, ex_op):
@@ -133,15 +143,16 @@ class TestUpsilonDescription:
                 complex(rng.standard_normal(), rng.standard_normal()),
                 complex(rng.standard_normal(), rng.standard_normal()),
             )
-            verdict, _ = is_modified_eigenvalue(ex_op, kappa)
-            assert upsilon_description(ex_op).contains(kappa) == verdict
+            # membership by the block-embedding oracle, not by the report
+            verdict = brute_modified_eigenspace(ex_op, kappa).dim > 0
+            assert (component_spectra(ex_op).classify_modified(kappa) is not None) == verdict
 
     def test_minus_members_always_contained(self, ex_op):
-        desc = upsilon_description(ex_op)
+        desc = component_spectra(ex_op)
         rng = np.random.default_rng(3)
         for _ in range(20):
             w = complex(rng.standard_normal(), rng.standard_normal()) * 10
-            assert desc.contains(Bicomplex(1.0, w))
+            assert desc.classify_modified(Bicomplex(1.0, w)) is not None
 
     def test_never_empty(self):
         rng = np.random.default_rng(4)
@@ -149,13 +160,13 @@ class TestUpsilonDescription:
             op = BicomplexOperator(
                 rng.standard_normal((n, n)) + 0j, rng.standard_normal((n, n)) + 0j
             )
-            desc = upsilon_description(op)
+            desc = component_spectra(op)
             assert desc.upsilon1.values and desc.upsilon2.values
 
 
 class TestContainment:
     def test_worked_example(self, ex_op):
-        rec = contains_idempotent_product(ex_op)
+        rec = contains_idempotent_product(component_spectra(ex_op))
         assert rec.all_pairs_modified
         assert len(rec.pairs) == 2  # {0,1} x {1}
         assert all(p.case is ModifiedCase.BOTH for p in rec.pairs)
@@ -164,18 +175,18 @@ class TestContainment:
 
     def test_witness_outside_grid(self, ex_op):
         rep = component_spectra(ex_op)
-        witness = contains_idempotent_product(ex_op).witness
+        witness = contains_idempotent_product(component_spectra(ex_op)).witness
         assert rep.in_upsilon1(witness.kappa.minus)
         assert not rep.in_upsilon2(witness.kappa.plus)
 
     def test_identity_operator(self):
-        rec = contains_idempotent_product(BicomplexOperator.identity(2))
+        rec = contains_idempotent_product(component_spectra(BicomplexOperator.identity(2)))
         assert rec.all_pairs_modified and len(rec.pairs) == 1
 
 
 class TestModifiedEigenspace:
     def test_one_sided_space(self, ex_op):
-        space = modified_eigenspace(ex_op, Bicomplex(1.0, 2.0))
+        space = modified_eigenspace(component_spectra(ex_op), Bicomplex(1.0, 2.0))
         assert space.case is ModifiedCase.ONLY_MINUS
         assert space.dim == 1
         assert space.minus_basis.contains([1, 0])
@@ -186,7 +197,7 @@ class TestModifiedEigenspace:
         assert residual(ex_op, Bicomplex(1.0, 2.0), v) <= 1e-12
 
     def test_both_case_space(self, ex_op):
-        space = modified_eigenspace(ex_op, Bicomplex(1.0, 1.0))
+        space = modified_eigenspace(component_spectra(ex_op), Bicomplex(1.0, 1.0))
         assert space.case is ModifiedCase.BOTH
         assert space.dim == 3
         assert space.minus_basis.dim == 1 and space.plus_basis.dim == 2
@@ -196,50 +207,64 @@ class TestModifiedEigenspace:
         assert space.plus_basis.contains([1, 1])
 
     def test_zero_minus_eigenvalue(self, ex_op):
-        space = modified_eigenspace(ex_op, Bicomplex(0.0, 0.0))
+        space = modified_eigenspace(component_spectra(ex_op), Bicomplex(0.0, 0.0))
         assert space.dim == 1
         assert space.minus_basis.contains([0, 1])
 
+    def test_assembled_is_lazy_and_cached(self, ex_op):
+        space = modified_eigenspace(component_spectra(ex_op), Bicomplex(1.0, 1.0))
+        assert "assembled" not in vars(space)
+        first = space.assembled
+        assert len(first) == space.dim == 3
+        assert space.assembled is first
+
+    def test_nullspace_threshold_is_the_report_tolerance(self):
+        # t1 has eigenvalues 1 and 1 + 1e-7: apart at cluster_tol 1e-8, one cluster at 1e-6
+        op = BicomplexOperator(np.diag([1.0, 1.0 + 1e-7]).astype(complex), np.eye(2, dtype=complex))
+        kappa = Bicomplex(1.0, 5.0)
+        assert modified_eigenspace(component_spectra(op, 1e-8), kappa).minus_basis.dim == 1
+        assert modified_eigenspace(component_spectra(op, 1e-6), kappa).minus_basis.dim == 2
+
     def test_non_member_rejected(self, ex_op):
         with pytest.raises(NotModifiedEigenvalueError):
-            modified_eigenspace(ex_op, Bicomplex(7.0, 9.0))
+            modified_eigenspace(component_spectra(ex_op), Bicomplex(7.0, 9.0))
 
     def test_dims_match_block_oracle(self, ex_op):
         for kappa in [Bicomplex(1.0, 2.0), Bicomplex(1.0, 1.0), Bicomplex(0.0, 0.0),
                       Bicomplex(0.0, 1.0), Bicomplex(5.0, 1.0)]:
-            space = modified_eigenspace(ex_op, kappa)
+            space = modified_eigenspace(component_spectra(ex_op), kappa)
             assert space.dim == brute_modified_eigenspace(ex_op, kappa).dim
 
 
 class TestEigenspace:
     def test_lambda_one(self, ex_op):
-        space = eigenspace(ex_op, 1.0)
+        space = eigenspace(component_spectra(ex_op), 1.0)
         assert space.dim == 3
 
     def test_lambda_zero(self, ex_op):
-        space = eigenspace(ex_op, 0.0)
+        space = eigenspace(component_spectra(ex_op), 0.0)
         assert space.dim == 1
         assert space.minus_basis.contains([0, 1])
 
     def test_identity_full_space(self):
-        space = eigenspace(BicomplexOperator.identity(3), 1.0)
+        space = eigenspace(component_spectra(BicomplexOperator.identity(3)), 1.0)
         assert space.dim == 6  # 2n over C1
 
     def test_non_eigenvalue_rejected(self, ex_op):
         with pytest.raises(NotEigenvalueError):
-            eigenspace(ex_op, 4.0)
+            eigenspace(component_spectra(ex_op), 4.0)
 
 
 class TestEigenspaceSum:
     def test_same_minus_family_overlaps(self, ex_op):
-        rep = eigenspace_sum(ex_op, Bicomplex(1.0, 2.0), Bicomplex(1.0, 3.0))
+        rep = eigenspace_sum(component_spectra(ex_op), Bicomplex(1.0, 2.0), Bicomplex(1.0, 3.0))
         assert rep.dim_first == 1 and rep.dim_second == 1
         assert rep.intersection_dim == 1
         assert rep.sum_dim == 1
         assert not rep.is_direct
 
     def test_opposite_sides_are_direct(self, ex_op):
-        rep = eigenspace_sum(ex_op, Bicomplex(1.0, 2.0), Bicomplex(7.0, 1.0))
+        rep = eigenspace_sum(component_spectra(ex_op), Bicomplex(1.0, 2.0), Bicomplex(7.0, 1.0))
         assert rep.dim_first == 1 and rep.dim_second == 2
         assert rep.intersection_dim == 0
         assert rep.sum_dim == 3
@@ -247,14 +272,14 @@ class TestEigenspaceSum:
 
     def test_equal_kappas_rejected(self, ex_op):
         with pytest.raises(ValueError):
-            eigenspace_sum(ex_op, Bicomplex(1.0, 2.0), Bicomplex(1.0, 2.0))
+            eigenspace_sum(component_spectra(ex_op), Bicomplex(1.0, 2.0), Bicomplex(1.0, 2.0))
 
     def test_non_member_rejected(self, ex_op):
         with pytest.raises(NotModifiedEigenvalueError):
-            eigenspace_sum(ex_op, Bicomplex(1.0, 2.0), Bicomplex(8.0, 9.0))
+            eigenspace_sum(component_spectra(ex_op), Bicomplex(1.0, 2.0), Bicomplex(8.0, 9.0))
 
     def test_dimension_formula_holds(self, ex_op):
-        rep = eigenspace_sum(ex_op, Bicomplex(1.0, 1.0), Bicomplex(0.0, 5.0))
+        rep = eigenspace_sum(component_spectra(ex_op), Bicomplex(1.0, 1.0), Bicomplex(0.0, 5.0))
         assert rep.sum_dim + rep.intersection_dim == rep.dim_first + rep.dim_second
 
 
@@ -262,7 +287,7 @@ class TestResidualInvariant:
     def test_every_assembled_vector_is_an_eigenvector(self, ex_op):
         bound = 1e-8 * ex_op.scale_norm()
         for kappa in [Bicomplex(1.0, 2.0), Bicomplex(1.0, 1.0), Bicomplex(0.0, 7.0)]:
-            space = modified_eigenspace(ex_op, kappa)
+            space = modified_eigenspace(component_spectra(ex_op), kappa)
             assert space.max_residual(ex_op) <= bound
 
     def test_vectors_outside_have_positive_residual(self, ex_op):
