@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import jsonio
 from .core import DEFAULT_TOL, Bicomplex
-from .errors import BcspecError, ConvergenceError, ParseError
+from .errors import BcspecError, ConvergenceError, NonFiniteValueError, ParseError
 from .linalg import DEFAULT_CLUSTER_TOL
 from .operators import classify_vector, is_singular_operator
 from .spectra import component_spectra, eigenspace_sum, modified_eigenspace
@@ -71,11 +71,15 @@ def _load_input(raw: str):
 
 
 def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    lines: list[str] = []
-    _render_text(report, lines, 0)
-    return "\n".join(lines) + "\n"
+    """The report as JSON or text; a NaN or infinity anywhere in it is an error."""
+    try:
+        if fmt == "json":
+            return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        lines: list[str] = []
+        _render_text(report, lines, 0)
+        return "\n".join(lines) + "\n"
+    except ValueError as exc:  # raised by json.dumps(..., allow_nan=False)
+        raise NonFiniteValueError("report holds a non-finite number") from exc
 
 
 def _render_text(node, lines: list[str], depth: int, label: str | None = None):
@@ -90,8 +94,8 @@ def _render_text(node, lines: list[str], depth: int, label: str | None = None):
         for i, item in enumerate(node):
             _render_text(item, lines, depth + 1, f"[{i}]")
     else:
-        if isinstance(node, list):
-            node = json.dumps(node)
+        if isinstance(node, (list, float)):
+            node = json.dumps(node, allow_nan=False)
         lines.append(f"{pad}{label}: {node}")
 
 
@@ -262,7 +266,6 @@ def _cmd_verify(args) -> int:
         n_max=args.n_max,
         tol=args.tol,
         cluster_tol=args.cluster_tol,
-        inject_fault=args.inject_kernel_fault,
     )
     report = {
         "command": "verify",
@@ -385,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--inject-kernel-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("explore-sum", help="directness of the sum of two modified eigenspaces")

@@ -6,7 +6,7 @@ class BcspecError(Exception):
 
 
 class NonFiniteValueError(BcspecError):
-    """A NaN or infinity was offered to a constructor; the algebra admits neither."""
+    """A NaN or infinity was offered to a constructor or would reach a report; the algebra admits neither."""
 
 
 class SingularElementError(BcspecError):

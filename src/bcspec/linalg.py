@@ -37,7 +37,15 @@ def as_carray(a, ndim: int = 2) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm; when the sum of squares overflows, finite entries are rescaled first."""
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if math.isinf(norm):
+        scale = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+        if math.isfinite(scale):
+            norm = scale * float(np.linalg.norm(a / scale))
+    return norm
 
 
 def _require_square(a: np.ndarray, op: str) -> int:
@@ -99,12 +107,13 @@ class CSubspace:
 class EigenSet:
     """Clustered spectrum: (eigenvalue, algebraic multiplicity) pairs.
 
-    Representatives are pairwise separated by more than the clustering
-    tolerance used to build the set, and multiplicities sum to the matrix
-    dimension.
+    Representatives are pairwise separated by more than tol, the absolute
+    tolerance the set was clustered at and decides membership with, and
+    multiplicities sum to the matrix dimension.
     """
 
     values: tuple[tuple[complex, int], ...]
+    tol: float
 
     @property
     def total_multiplicity(self) -> int:
@@ -126,13 +135,9 @@ class EigenSet:
             return math.inf
         return min(abs(lam - v) for v, _ in self.values)
 
-    def contains(self, lam, tol_abs: float) -> bool:
-        """Membership at absolute tolerance; a tie at the boundary is a member."""
-        return self.distance(lam) <= tol_abs
-
-    def nearest(self, lam) -> complex:
-        lam = complex(lam)
-        return min((v for v, _ in self.values), key=lambda v: abs(lam - v))
+    def contains(self, lam) -> bool:
+        """Membership within tol; a tie at the boundary is a member."""
+        return self.distance(lam) <= self.tol
 
 
 def _rank(a: np.ndarray, r: np.ndarray, tol: float, threshold: float | None) -> int:
@@ -188,14 +193,14 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
     return CSubspace(n, ortho)
 
 
-def column_space(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CSubspace:
+def column_space(a, tol: float = DEFAULT_TOL) -> CSubspace:
     """Orthonormal basis of the range of A, rank-revealed by pivoted QR (see _rank)."""
     a = as_carray(a)
     m, n = a.shape
     if m == 0 or n == 0:
         return CSubspace.zero(m)
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    return CSubspace(m, q[:, : _rank(a, r, tol, threshold)])
+    return CSubspace(m, q[:, : _rank(a, r, tol, None)])
 
 
 def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:
@@ -231,17 +236,17 @@ def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
 
 
 def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
-    """Clustered spectrum of a square matrix."""
+    """Clustered spectrum of a square matrix; its tol is the cluster tolerance of a."""
     a = as_carray(a)
     n = _require_square(a, "eigenvalues")
+    tol = cluster_tolerance(a, cluster_tol)
     if n == 0:
-        return EigenSet(())
+        return EigenSet((), tol)
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    merged = cluster_points(vals, cluster_tolerance(a, cluster_tol))
-    return EigenSet(tuple(merged))
+    return EigenSet(tuple(cluster_points(vals, tol)), tol)
 
 
 def eigen_decompose(
@@ -256,9 +261,8 @@ def eigen_decompose(
     a = as_carray(a)
     n = _require_square(a, "eigen_decompose")
     es = eigenvalues(a, cluster_tol)
-    thr = cluster_tolerance(a, cluster_tol)
     eye = np.eye(n, dtype=np.complex128)
-    spaces = [nullspace(a - lam * eye, threshold=thr) for lam, _ in es.values]
+    spaces = [nullspace(a - lam * eye, threshold=es.tol) for lam, _ in es.values]
     return es, spaces
 
 

@@ -9,6 +9,7 @@ components is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex, IdealClass
 from .errors import DimensionMismatchError, NonSquareError
-from .linalg import CSubspace, as_carray, column_space, is_singular_matrix, nullspace
+from .linalg import CSubspace, as_carray, column_space, frobenius, is_singular_matrix, nullspace
 
 
 class VectorClass(Enum):
@@ -78,7 +79,11 @@ class BicomplexVector:
 
     def norm(self) -> float:
         """Euclidean norm of the concatenated component vectors."""
-        return float(np.sqrt(np.linalg.norm(self.minus) ** 2 + np.linalg.norm(self.plus) ** 2))
+        with np.errstate(over="ignore"):
+            norm = float(np.sqrt(np.linalg.norm(self.minus) ** 2 + np.linalg.norm(self.plus) ** 2))
+        if math.isinf(norm):  # squares beyond float range: rescale
+            norm = frobenius(np.concatenate([self.minus, self.plus]))
+        return norm
 
     def is_exact_zero(self) -> bool:
         return not (np.any(self.minus) or np.any(self.plus))

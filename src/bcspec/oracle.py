@@ -31,8 +31,6 @@ class Rng:
     seed: int
     stream: tuple[int, ...] = ()
 
-    algorithm = "pcg64"
-
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, *self.stream])))
 
@@ -195,13 +193,9 @@ class PlantedOperator:
     """Random operator plus the ground truth planted into it."""
 
     operator: BicomplexOperator
-    profile: str
     shared_eigenvalue: complex | None = None
-    deficient_side: int | None = None          # 1 or 2: that component is rank-deficient
     defective_side: int | None = None          # 1 or 2: Jordan-type block planted there
     defective_eigenvalue: complex | None = None
-    planted1: tuple[complex, ...] = ()         # known spectrum of t1, when planted
-    planted2: tuple[complex, ...] = ()
 
 
 def _unitary(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -243,7 +237,7 @@ def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperat
     if profile == "generic":
         t1 = complex_normal(gen, (n, n))
         t2 = complex_normal(gen, (n, n))
-        return PlantedOperator(BicomplexOperator(t1, t2), profile)
+        return PlantedOperator(BicomplexOperator(t1, t2))
 
     if profile == "shared-eigenvalue":
         lam = complex(complex_normal(gen)) * 2.0
@@ -255,13 +249,7 @@ def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperat
         d2[slot2] = lam
         t1 = _with_spectrum(gen, d1)
         t2 = _with_spectrum(gen, d2)
-        return PlantedOperator(
-            BicomplexOperator(t1, t2),
-            profile,
-            shared_eigenvalue=lam,
-            planted1=tuple(d1),
-            planted2=tuple(d2),
-        )
+        return PlantedOperator(BicomplexOperator(t1, t2), shared_eigenvalue=lam)
 
     if profile == "rank-deficient":
         side = int(gen.integers(2)) + 1
@@ -272,7 +260,7 @@ def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperat
             deficient = complex_normal(gen, (n, r)) @ complex_normal(gen, (r, n))
         other = complex_normal(gen, (n, n))
         t1, t2 = (deficient, other) if side == 1 else (other, deficient)
-        return PlantedOperator(BicomplexOperator(t1, t2), profile, deficient_side=side)
+        return PlantedOperator(BicomplexOperator(t1, t2))
 
     # defective: a geometric deficiency on one side (needs n >= 2; at n = 1
     # it degrades to a planted simple eigenvalue).
@@ -287,12 +275,7 @@ def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperat
         planted = _with_spectrum(gen, diag, coupling_at=0)
     other = complex_normal(gen, (n, n))
     t1, t2 = (planted, other) if side == 1 else (other, planted)
-    return PlantedOperator(
-        BicomplexOperator(t1, t2),
-        profile,
-        defective_side=side,
-        defective_eigenvalue=lam,
-    )
+    return PlantedOperator(BicomplexOperator(t1, t2), defective_side=side, defective_eigenvalue=lam)
 
 
 def random_vector(rng: Rng, n: int) -> BicomplexVector:

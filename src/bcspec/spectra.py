@@ -45,7 +45,6 @@ from .linalg import (
     CSubspace,
     EigenSet,
     cluster_points,
-    cluster_tolerance,
     eigenvalues,
     nullspace,
     subspace_intersection,
@@ -73,37 +72,36 @@ class SpectrumReport:
     """The spectral analysis of one square operator T = e1*T1 + e2*T2.
 
     Every eigenvalue, modified-eigenvalue, family, containment and eigenspace
-    query is a question to this object: the component spectra Y1 and Y2, their
-    absolute membership tolerances, and the cylinder rule over them.
-    eigenvalues_of_T is the clustered union of upsilon1 and upsilon2 with
-    multiplicities summed across components (the spectrum of the block
-    embedding diag(t1, t2) as a multiset).
+    query is a question to this object: the component spectra Y1 and Y2,
+    each carrying its membership tolerance, and the cylinder rule over them.
     """
 
     op: BicomplexOperator
     upsilon1: EigenSet
     upsilon2: EigenSet
-    eigenvalues_of_T: EigenSet
-    tol1: float  # absolute membership tolerance for upsilon1
-    tol2: float
 
-    def in_upsilon1(self, lam) -> bool:
-        return self.upsilon1.contains(lam, self.tol1)
+    @cached_property
+    def eigenvalues_of_T(self) -> EigenSet:
+        """Clustered union of Y1 and Y2, multiplicities summed across components.
 
-    def in_upsilon2(self, lam) -> bool:
-        return self.upsilon2.contains(lam, self.tol2)
+        This is the spectrum of the block embedding diag(t1, t2) as a
+        multiset, clustered at the larger of the two tolerances.
+        """
+        tol = max(self.upsilon1.tol, self.upsilon2.tol)
+        combined = self.upsilon1.multiset() + self.upsilon2.multiset()
+        return EigenSet(tuple(cluster_points(combined, tol)), tol)
 
     def is_eigenvalue(self, lam) -> bool:
         """lambda is an eigenvalue of T iff it lies in Y1 ∪ Y2."""
-        return self.in_upsilon1(lam) or self.in_upsilon2(lam)
+        return self.upsilon1.contains(lam) or self.upsilon2.contains(lam)
 
     def classify_modified(self, kappa: Bicomplex) -> ModifiedCase | None:
         """Case tag for kappa, or None when kappa is not modified.
 
         kappa is modified iff kappa^- in Y1 or kappa^+ in Y2; the case says which.
         """
-        m1 = self.in_upsilon1(kappa.minus)
-        m2 = self.in_upsilon2(kappa.plus)
+        m1 = self.upsilon1.contains(kappa.minus)
+        m2 = self.upsilon2.contains(kappa.plus)
         if m1 and m2:
             return ModifiedCase.BOTH
         if m1:
@@ -132,16 +130,10 @@ def _set_str(es: EigenSet) -> str:
 def component_spectra(
     op: BicomplexOperator, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> SpectrumReport:
-    """Y1 = spectrum of t1, Y2 = spectrum of t2, and their clustered union."""
+    """Y1 = spectrum of t1 and Y2 = spectrum of t2, each with its own tolerance."""
     if not op.is_square:
         raise NonSquareError(f"spectra need a square operator, got {op.shape}")
-    u1 = eigenvalues(op.t1, cluster_tol)
-    u2 = eigenvalues(op.t2, cluster_tol)
-    tol1 = cluster_tolerance(op.t1, cluster_tol)
-    tol2 = cluster_tolerance(op.t2, cluster_tol)
-    combined: list[complex] = u1.multiset() + u2.multiset()
-    union = EigenSet(tuple(cluster_points(combined, max(tol1, tol2))))
-    return SpectrumReport(op, u1, u2, union, tol1, tol2)
+    return SpectrumReport(op, eigenvalues(op.t1, cluster_tol), eigenvalues(op.t2, cluster_tol))
 
 
 def modified_family(
@@ -154,7 +146,7 @@ def modified_family(
     sample points.
     """
     base = complex(base)
-    if not (report.in_upsilon1(base) if from_minus else report.in_upsilon2(base)):
+    if not (report.upsilon1 if from_minus else report.upsilon2).contains(base):
         raise BaseNotEigenvalueError(f"{base} is not in the spectrum of t{1 if from_minus else 2}")
     out = []
     for w in samples:
@@ -196,7 +188,7 @@ def contains_idempotent_product(report: SpectrumReport) -> ContainmentRecord:
         # construction, still modified through the minus side.
         k1 = report.upsilon1.value_list()[0]
         away = max((abs(v) for v in report.upsilon2.value_list()), default=0.0)
-        k2 = away + 1.0 + 10.0 * report.tol2
+        k2 = away + 1.0 + 10.0 * report.upsilon2.tol
         kappa = Bicomplex(k1, k2)
         case = report.classify_modified(kappa)
         if case is ModifiedCase.ONLY_MINUS:
@@ -257,11 +249,11 @@ def modified_eigenspace(report: SpectrumReport, kappa: Bicomplex) -> ModifiedEig
     if case is ModifiedCase.ONLY_PLUS:
         minus_basis = CSubspace.zero(op.n)
     else:
-        minus_basis = nullspace(op.t1 - kappa.minus * eye, threshold=report.tol1)
+        minus_basis = nullspace(op.t1 - kappa.minus * eye, threshold=report.upsilon1.tol)
     if case is ModifiedCase.ONLY_MINUS:
         plus_basis = CSubspace.zero(op.n)
     else:
-        plus_basis = nullspace(op.t2 - kappa.plus * eye, threshold=report.tol2)
+        plus_basis = nullspace(op.t2 - kappa.plus * eye, threshold=report.upsilon2.tol)
     return ModifiedEigenspace(kappa, case, minus_basis, plus_basis)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bcspec import BicomplexOperator
+import bcspec.verify
+from bcspec import BicomplexOperator, kernel
 
 
 @pytest.fixture
@@ -11,6 +12,17 @@ def ex_op() -> BicomplexOperator:
         np.array([[1, 0], [0, 0]], dtype=complex),
         np.eye(2, dtype=complex),
     )
+
+
+@pytest.fixture
+def swapped_kernel(monkeypatch):
+    """Verify runs against a faulty kernel: the component nullspaces on the wrong sides."""
+
+    def faulty(op, tol):
+        k1, k2 = kernel(op, tol)
+        return k2, k1
+
+    monkeypatch.setattr(bcspec.verify, "kernel", faulty)
 
 
 def close2ulp(a: float, b: float, scale: float | None = None) -> bool:

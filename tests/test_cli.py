@@ -171,10 +171,9 @@ class TestVerify:
         assert len(report["suites"]) >= 10
         assert all(s["failures"] == 0 for s in report["suites"])
 
+    @pytest.mark.usefixtures("swapped_kernel")
     def test_fault_injection_fails_the_kernel_suite(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--trials", "8", "--inject-kernel-fault"
-        )
+        code, out, _ = run_cli(capsys, "verify", "--trials", "8")
         report = json.loads(out)
         assert code == 1
         assert report["passed"] is False
@@ -363,12 +362,39 @@ class TestOutputModes:
     def test_no_nan_near_overflow(self, capsys, op_file):
         code, out, _ = run_cli(capsys, "eigenspace", "--input", op_file, "--lam", "[1e308,1e308]")
         assert code == 0
-
-        def reject(token):
-            raise AssertionError(f"{token} in a JSON report")
-
-        report = json.loads(out, parse_constant=reject)
+        report = json.loads(out, parse_constant=self._reject)
         assert report["kappa"]["cart"] == [1e308, 1e308, 0.0, 0.0]
+
+    def test_huge_entries_keep_their_own_clusters(self, capsys):
+        op = '{"t1":[[[1e200,0],[0,0]],[[0,0],[1,0]]],"t2":[[[1,0],[0,0]],[[0,0],[2,0]]]}'
+        code, out, _ = run_cli(capsys, "spectrum", "--input", op)
+        assert code == 0
+        report = json.loads(out, parse_constant=self._reject)
+        assert report["upsilon1"] == [
+            {"multiplicity": 1, "value": [1.0, 0.0]},
+            {"multiplicity": 1, "value": [1e200, 0.0]},
+        ]
+
+    def test_no_infinity_near_overflow(self, capsys):
+        op = '{"t1":[[[1.7e308,2.5]]],"t2":[[[-2,6.6]]]}'
+        code, out, err = run_cli(capsys, "spectrum", "--input", op)
+        assert code == 0, err
+        report = json.loads(out, parse_constant=self._reject)
+        assert [e["value"] for e in report["eigenvalues"]] == [[-2.0, 6.6], [1.7e308, 2.5000000000000004]]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_report_exit_2(self, capsys, fmt):
+        # ||t1||_F is beyond float range, so Y1 is one cluster whose eigenspace
+        # holds e2, and ||t1 e2|| is beyond float range too
+        op = '{"t1":[[[1.7e308,0],[1.7e308,0]],[[0,0],[-1.7e308,0]]],"t2":[[[1,0],[0,0]],[[0,0],[2,0]]]}'
+        code, out, err = run_cli(capsys, "spectrum", "--input", op, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: report holds a non-finite number"]
+
+    @staticmethod
+    def _reject(token):
+        raise AssertionError(f"{token} in a JSON report")
 
     def test_byte_identical_reports(self, capsys, op_file):
         _, first, _ = run_cli(capsys, "spectrum", "--input", op_file)

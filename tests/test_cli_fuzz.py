@@ -3,10 +3,10 @@
 Each command runs in process on generated JSON-like inputs: wrong types,
 ragged rows, non-square operators, huge and tiny numbers, equal kappas, bad
 size ranges and bad tolerances.  No exception may escape `main`; argparse
-rejections count as exit code 2, and no report may print NaN.  Exit code 1
-(a verify suite failed) is not an allowed outcome either, so verify runs at
-its default tolerances.  The examples are derandomized, so every run draws
-the same ones.
+rejections count as exit code 2, and no report may print NaN or infinity.
+Exit code 1 (a verify suite failed) is not an allowed outcome either, so
+verify runs at its default tolerances.  The examples are derandomized, so
+every run draws the same ones.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from bcspec.cli import main
 FUZZ = settings(
     max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
-NAN = re.compile(r"\b(nan|NaN)\b")
+NON_FINITE = re.compile(r"\b(nan|NaN|inf|Infinity)\b")
 
 extreme = st.sampled_from([1e308, -1e308, 1.7e308, 1e-308, 5e-324, -0.0, float("nan"), float("inf")])
 number = st.one_of(st.integers(-3, 3), st.floats(-10, 10), extreme)
@@ -84,7 +84,7 @@ def _run(argv: list[str]) -> None:
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in (0, 2, 3), (argv, code, err.getvalue())
-    assert not NAN.search(out.getvalue()), argv
+    assert not NON_FINITE.search(out.getvalue()), argv
 
 
 @FUZZ

@@ -6,6 +6,7 @@ import pytest
 from bcspec import (
     ConvergenceError,
     CSubspace,
+    EigenSet,
     NonSquareError,
     eigen_decompose,
     eigenvalues,
@@ -187,6 +188,12 @@ class TestClustering:
     def test_cluster_tolerance_scale(self):
         a = np.eye(3) * 100
         assert cluster_tolerance(a, 1e-8) == pytest.approx(1e-8 * (1 + frobenius(a)))
+
+    def test_membership_boundary(self):
+        es = EigenSet(((1.0 + 0j, 1), (4.0 + 0j, 2)), tol=0.5)
+        assert es.contains(1.5) and es.contains(0.5) and es.contains(4.0 + 0.5j)  # ties are members
+        assert not es.contains(np.nextafter(1.5, 2.0))
+        assert not es.contains(2.5)
 
 
 class TestSubspaceArithmetic:

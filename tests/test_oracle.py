@@ -135,7 +135,7 @@ class TestPlantedOperators:
             planted = random_operator(Rng(11, (trial,)), 4, "shared-eigenvalue")
             lam = planted.shared_eigenvalue
             rep = component_spectra(planted.operator)
-            assert rep.in_upsilon1(lam) and rep.in_upsilon2(lam)
+            assert rep.upsilon1.contains(lam) and rep.upsilon2.contains(lam)
             assert rep.is_eigenvalue(lam)
 
     def test_rank_deficient_profile(self):

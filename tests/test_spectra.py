@@ -22,6 +22,7 @@ from bcspec import (
     modified_family,
     shift,
 )
+from bcspec.linalg import cluster_tolerance
 from bcspec.oracle import brute_modified_eigenspace, residual
 
 
@@ -48,6 +49,12 @@ class TestComponentSpectra:
 
     def test_report_owns_its_operator(self, ex_op):
         assert component_spectra(ex_op).op is ex_op
+
+    def test_each_side_carries_its_cluster_tolerance(self, ex_op):
+        for ct in (1e-8, 1e-3):
+            rep = component_spectra(ex_op, ct)
+            assert rep.upsilon1.tol == cluster_tolerance(ex_op.t1, ct)
+            assert rep.upsilon2.tol == cluster_tolerance(ex_op.t2, ct)
 
     def test_zero_operator(self):
         rep = component_spectra(BicomplexOperator.zero(2))
@@ -176,8 +183,8 @@ class TestContainment:
     def test_witness_outside_grid(self, ex_op):
         rep = component_spectra(ex_op)
         witness = contains_idempotent_product(component_spectra(ex_op)).witness
-        assert rep.in_upsilon1(witness.kappa.minus)
-        assert not rep.in_upsilon2(witness.kappa.plus)
+        assert rep.upsilon1.contains(witness.kappa.minus)
+        assert not rep.upsilon2.contains(witness.kappa.plus)
 
     def test_identity_operator(self):
         rec = contains_idempotent_product(component_spectra(BicomplexOperator.identity(2)))

@@ -1,5 +1,7 @@
 """The suite runner itself: coverage, determinism, sensitivity."""
 
+import pytest
+
 from bcspec.verify import SUITES, run_sum_search, run_verify
 
 
@@ -31,8 +33,9 @@ def test_runs_are_deterministic():
     ]
 
 
+@pytest.mark.usefixtures("swapped_kernel")
 def test_fault_injection_is_detected():
-    report = run_verify(trials=10, seed=7, inject_fault=True)
+    report = run_verify(trials=10, seed=7)
     assert not report.passed
     kernel = report.suite("kernel_image")
     assert kernel.failures > 0
@@ -40,8 +43,9 @@ def test_fault_injection_is_detected():
     assert all(s.passed for s in report.suites if s.name != "kernel_image")
 
 
+@pytest.mark.usefixtures("swapped_kernel")
 def test_failure_messages_carry_replay_key():
-    report = run_verify(trials=10, seed=7, inject_fault=True)
+    report = run_verify(trials=10, seed=7)
     kernel = report.suite("kernel_image")
     assert kernel.messages
     assert all("seed=7" in m and "trial=" in m for m in kernel.messages)
