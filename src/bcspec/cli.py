@@ -165,16 +165,14 @@ def _cmd_decompose(args) -> int:
 def _cmd_spectrum(args) -> int:
     op = jsonio.parse_operator(_load_input(args.input))
     spectra = component_spectra(op, args.cluster_tol)
-    eigenspaces = []
-    for lam, _ in spectra.eigenvalues_of_T.values:
-        space = modified_eigenspace(spectra, Bicomplex.from_complex(lam))
-        eigenspaces.append(
-            {
-                "value": jsonio.complex_to_json(lam),
-                "dimension": space.dim,
-                "max_residual": space.max_residual(op),
-            }
-        )
+    eigenspaces = [
+        {
+            "value": jsonio.complex_to_json(lam),
+            "dimension": space.dim,
+            "max_residual": space.max_residual(op),
+        }
+        for (lam, _), space in zip(spectra.eigenvalues_of_T.values, spectra.eigenspaces())
+    ]
     report = {
         "command": "spectrum",
         "tol": args.tol,

@@ -68,7 +68,10 @@ class Bicomplex:
         """Build from the cartesian pair of x = z1 + i2*z2."""
         z1 = _finite_complex(z1, "z1")
         z2 = _finite_complex(z2, "z2")
-        return cls(z1 - 1j * z2, z1 + 1j * z2)
+        minus, plus = z1 - 1j * z2, z1 + 1j * z2
+        if not (_is_finite(minus) and _is_finite(plus)):
+            raise NonFiniteValueError("conversion to idempotent components overflows float range")
+        return cls(minus, plus)
 
     @classmethod
     def from_real(cls, u1: float, u2: float, u3: float, u4: float) -> "Bicomplex":

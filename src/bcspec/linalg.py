@@ -206,26 +206,62 @@ def column_space(a, tol: float = DEFAULT_TOL) -> CSubspace:
 def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:
     """Agglomerate complex points whose representatives sit within tol_abs.
 
-    Returns (representative, count) pairs, pairwise separated by more than
-    tol_abs, sorted by (real, imag).  Representatives are count-weighted means.
+    Each step merges the closest pair of clusters into their count-weighted
+    mean; a tie goes to the first pair in (i, j) list order, and the merged
+    cluster takes i's place.  Merging stops once the closest pair is farther
+    apart than tol_abs.  Returns (representative, count) pairs, pairwise
+    separated by more than tol_abs, sorted by (real, imag).
+
+    Each live cluster caches its nearest later neighbour, so a merge rescans
+    only the merged cluster and the clusters whose neighbour it absorbed:
+    O(k^2) typical time and O(k) extra memory.  A NaN distance (from
+    representatives at the top of the float range) is never the closest,
+    except between the first two clusters, where it is merged at once.
     """
-    clusters = [[complex(p), 1] for p in points]
-    while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = abs(clusters[i][0] - clusters[j][0])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        if best is None or best[0] > tol_abs:
-            break
-        _, i, j = best
-        ci, cj = clusters[i], clusters[j]
-        total = ci[1] + cj[1]
-        rep = (ci[0] * ci[1] + cj[0] * cj[1]) / total
-        clusters[i] = [rep, total]
-        del clusters[j]
-    merged = [(rep, count) for rep, count in clusters]
+    reps = [complex(p) for p in points]
+    counts = [1] * len(reps)
+    live = list(range(len(reps)))
+    near_d = [math.inf] * len(reps)
+    near_j = [-1] * len(reps)
+
+    def scan(pos: int) -> None:
+        i = live[pos]
+        zi = reps[i]
+        best_d, best_j = math.inf, -1
+        for j in live[pos + 1 :]:
+            d = abs(zi - reps[j])
+            if d < best_d or (best_j < 0 and d == best_d):
+                best_d, best_j = d, j
+        near_d[i], near_j[i] = best_d, best_j
+
+    for pos in range(len(live)):
+        scan(pos)
+    while len(live) > 1:
+        i, j = live[0], live[1]
+        d = abs(reps[i] - reps[j])
+        if d == d:  # not NaN: take the closest pair, the first one on a tie
+            i = -1
+            for r in live:
+                if near_j[r] >= 0 and (i < 0 or near_d[r] < d):
+                    d, i = near_d[r], r
+            j = near_j[i]
+            if d > tol_abs:
+                break
+        total = counts[i] + counts[j]
+        reps[i] = (reps[i] * counts[i] + reps[j] * counts[j]) / total
+        counts[i] = total
+        end = live.index(j)
+        del live[end]
+        # Clusters after j never look back at i or j.
+        for pos in range(end):
+            r = live[pos]
+            if r == i or near_j[r] in (i, j):
+                scan(pos)
+            elif r < i:
+                d = abs(reps[r] - reps[i])
+                if d < near_d[r] or (d == near_d[r] and (near_j[r] < 0 or i < near_j[r])):
+                    near_d[r], near_j[r] = d, i
+    merged = [(reps[i], counts[i]) for i in live]
     merged.sort(key=lambda vc: (vc[0].real, vc[0].imag))
     return merged
 
@@ -249,20 +285,49 @@ def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
     return EigenSet(tuple(cluster_points(vals, tol)), tol)
 
 
+def simple_eigenvectors(a, es: EigenSet) -> list[np.ndarray | None]:
+    """Unit eigenvector of each simple cluster of es, from one eig of A.
+
+    Each eigenvalue eig returns goes to its nearest cluster of es; a cluster
+    of multiplicity 1 that receives exactly one of them gets its eigenvector.
+    Every other entry of the list, aligned with es.values, is None.  When es
+    has no simple cluster, eig is not run.
+    """
+    a = as_carray(a)
+    out: list[np.ndarray | None] = [None] * len(es.values)
+    if all(m > 1 for _, m in es.values):
+        return out
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
+        raise ConvergenceError(f"eigenvector iteration failed: {exc}") from exc
+    reps = np.array(es.value_list())
+    nearest = np.abs(vals[:, None] - reps[None, :]).argmin(axis=1)
+    received = np.bincount(nearest, minlength=len(reps))
+    for col, k in enumerate(nearest):
+        if es.values[k][1] == 1 and received[k] == 1:
+            out[k] = vecs[:, col]
+    return out
+
+
 def eigen_decompose(
     a, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> tuple[EigenSet, list[CSubspace]]:
     """Clustered spectrum plus the geometric eigenspace of each cluster.
 
-    Eigenvectors come from the nullspace of A - lam*I at the clustering
-    threshold, so geometric dimension never exceeds what the residual bound
-    1e-8 * (1 + ||A||) supports.
+    A simple cluster takes its eigenvector from simple_eigenvectors.  Any
+    other cluster's eigenspace is the nullspace of A - lam*I at the
+    clustering threshold, so geometric dimension never exceeds what the
+    residual bound 1e-8 * (1 + ||A||) supports.
     """
     a = as_carray(a)
     n = _require_square(a, "eigen_decompose")
     es = eigenvalues(a, cluster_tol)
     eye = np.eye(n, dtype=np.complex128)
-    spaces = [nullspace(a - lam * eye, threshold=es.tol) for lam, _ in es.values]
+    spaces = [
+        nullspace(a - lam * eye, threshold=es.tol) if v is None else CSubspace(n, v[:, None])
+        for (lam, _), v in zip(es.values, simple_eigenvectors(a, es))
+    ]
     return es, spaces
 
 

@@ -26,6 +26,7 @@ takes the report.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -47,6 +48,7 @@ from .linalg import (
     cluster_points,
     eigenvalues,
     nullspace,
+    simple_eigenvectors,
     subspace_intersection,
     subspace_sum,
 )
@@ -110,9 +112,44 @@ class SpectrumReport:
             return ModifiedCase.ONLY_PLUS
         return None
 
+    def eigenspaces(self) -> Iterator[ModifiedEigenspace]:
+        """The eigenspace of each eigenvalue of T, in the order of eigenvalues_of_T.
+
+        A side takes its part from one eig of its matrix when the eigenvalue
+        lies within tol of exactly one of its clusters and that cluster is
+        simple (see simple_eigenvectors).  Every other eigenvalue goes
+        through modified_eigenspace and its rank test.  The spaces are made
+        one at a time and not kept.
+        """
+        n = self.op.n
+        sides = [
+            (es, np.array(es.value_list()), simple_eigenvectors(t, es))
+            for t, es in ((self.op.t1, self.upsilon1), (self.op.t2, self.upsilon2))
+        ]
+        for lam, _ in self.eigenvalues_of_T.values:
+            kappa = Bicomplex.from_complex(lam)
+            case = self.classify_modified(kappa)
+            members = (case is not ModifiedCase.ONLY_PLUS, case is not ModifiedCase.ONLY_MINUS)
+            bases = [
+                _simple_eigenspace(lam, n, *side) if member else CSubspace.zero(n)
+                for side, member in zip(sides, members)
+            ]
+            if case is None or None in bases:
+                yield modified_eigenspace(self, kappa)
+            else:
+                yield ModifiedEigenspace(kappa, case, *bases)
+
     def symbolic(self) -> str:
         """The modified spectrum as a union of two cylinders: (Y1 xe C1) ∪ (C1 xe Y2)."""
         return f"({_set_str(self.upsilon1)} xe C1) U (C1 xe {_set_str(self.upsilon2)})"
+
+
+def _simple_eigenspace(lam: complex, n: int, es: EigenSet, reps, vectors) -> CSubspace | None:
+    """The span of the eig vector of the one cluster within es.tol of lam, if it is simple."""
+    near = np.flatnonzero(np.abs(reps - lam) <= es.tol)
+    if len(near) != 1 or vectors[near[0]] is None:
+        return None
+    return CSubspace(n, vectors[near[0]][:, None])
 
 
 def _format_complex(z: complex) -> str:

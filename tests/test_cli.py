@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import bcspec.linalg
+import bcspec.spectra
 from bcspec.cli import main
 
 EX_OP = {
@@ -103,6 +106,50 @@ class TestSpectrum:
         assert code == 0
         assert report["upsilon1"] == [{"value": [1.0, 0.0], "multiplicity": 1}]
         assert report["upsilon2"] == [{"value": [1.0, 0.0], "multiplicity": 1}]
+
+
+    def test_simple_eigenvalues_take_one_eig_per_side(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(64)
+        t1, t2 = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
+        path = tmp_path / "distinct.json"
+        path.write_text(json.dumps({"t1": _matrix_json(t1), "t2": _matrix_json(t2)}))
+        calls = {"eig": 0, "nullspace": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        nullspace = counted("nullspace", bcspec.linalg.nullspace)
+        for module in (bcspec.linalg, bcspec.spectra):
+            monkeypatch.setattr(module, "nullspace", nullspace)
+        code, out, _ = run_cli(capsys, "spectrum", "--input", str(path))
+        assert code == 0
+        assert calls == {"eig": 2, "nullspace": 0}
+        report = json.loads(out)
+        assert sum(e["multiplicity"] for e in report["eigenvalues"]) == 128
+        bound = 1e-8 * (1.0 + np.linalg.norm(t1) + np.linalg.norm(t2))
+        for space in report["eigenspaces"]:
+            assert space["dimension"] == 1
+            assert space["max_residual"] <= bound
+
+    def test_two_clusters_within_tolerance_take_the_rank_test(self, capsys):
+        # Y1 = {0, 1.5e-8} is two clusters at tol ~1e-8; the union, clustered
+        # at the tolerance of t2 = 100*I, holds 7.5e-9 within tol of both.
+        op = {"t1": [[[0, 0], [0, 0]], [[0, 0], [1.5e-8, 0]]], "t2": [[[100, 0], [0, 0]], [[0, 0], [100, 0]]]}
+        code, out, _ = run_cli(capsys, "spectrum", "--input", json.dumps(op))
+        assert code == 0
+        assert json.loads(out)["eigenspaces"] == [
+            {"dimension": 2, "max_residual": 7.5e-09, "value": [7.5e-09, 0.0]},
+            {"dimension": 2, "max_residual": 0.0, "value": [100.0, 0.0]},
+        ]
+
+
+def _matrix_json(t) -> list:
+    return np.stack([t.real, t.imag], axis=-1).tolist()
 
 
 class TestModified:
@@ -286,6 +333,12 @@ class TestErrorHandling:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_idempotent_overflow_names_the_conversion(self, capsys):
+        # every real coefficient is finite; z1 + i*z2 = 1e308 + 1e308 is not
+        code, out, err = run_cli(capsys, "decompose", "--input", '{"real":[1e308,1e308,1e308,1e308]}')
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: scalar: conversion to idempotent components overflows float range"]
 
     def test_env_tolerance_override(self, capsys, monkeypatch):
         # plus component at 1e-5: singular at tol 1e-4, invertible at 1e-10

@@ -1,5 +1,8 @@
 """Complex linear algebra: rank decisions, nullspaces, eigensolver, subspace arithmetic."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -169,7 +172,80 @@ class TestSingularityAgreement:
             assert nullspace(a).dim == 0
 
 
+def _scan_cluster_points(points, tol_abs):
+    """The O(k^3) closest-pair scan cluster_points replaces, kept as its reference."""
+    clusters = [[complex(p), 1] for p in points]
+    while len(clusters) > 1:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                d = abs(clusters[i][0] - clusters[j][0])
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        if best is None or best[0] > tol_abs:
+            break
+        _, i, j = best
+        ci, cj = clusters[i], clusters[j]
+        total = ci[1] + cj[1]
+        rep = (ci[0] * ci[1] + cj[0] * cj[1]) / total
+        clusters[i] = [rep, total]
+        del clusters[j]
+    merged = [(rep, count) for rep, count in clusters]
+    merged.sort(key=lambda vc: (vc[0].real, vc[0].imag))
+    return merged
+
+
+def _cluster_case(rng, kind: int):
+    """Seeded points and tolerance of one kind: ties, ulp steps, inf tolerance, huge points."""
+    k = int(rng.integers(0, 14))
+    tol = float(10.0 ** rng.uniform(-3, 0))
+    if kind == 0:  # a lattice at spacing tol: many exact ties
+        pts = [complex(int(a), int(b)) * tol for a, b in rng.integers(-3, 4, (k, 2))]
+    elif kind == 1:  # repeated points, some moved by tol or tol/2
+        base = _complex_gauss(rng, (max(k // 2, 1),))
+        picks = rng.integers(len(base), size=k)
+        pts = [complex(base[i]) + tol * rng.choice([0, 1, -1, 0.5]) for i in picks]
+    elif kind == 2:  # a chain of steps at tol and one ulp either side of it
+        steps = [tol, np.nextafter(tol, 0.0), np.nextafter(tol, 2.0)]
+        pts = [complex(x) for x in np.cumsum([0.0] + [steps[int(rng.integers(3))] for _ in range(k)])]
+        pts = [pts[int(i)] for i in rng.permutation(len(pts))]
+    elif kind == 3:  # magnitudes from 1 to 1e308 at an infinite tolerance
+        mags = rng.standard_normal(k) * 10.0 ** rng.uniform(0, 308, k)
+        pts = [complex(m) * complex(rng.choice([1, -1, 1j, -1j])) for m in mags]
+        tol = math.inf
+    elif kind == 4:  # points at 1e154-1e308, where distances and means overflow
+        re = rng.choice([1, -1], k) * 10.0 ** rng.uniform(154, 308, k)
+        im = rng.choice([0, 1, -1], k) * 10.0 ** rng.uniform(154, 308, k)
+        pts = [complex(a, b) for a, b in zip(re, im)]
+        tol = [math.inf, 1e307, 1e300, 1e-8][int(rng.integers(4))]
+    else:
+        pts = list(_complex_gauss(rng, (k,)))
+        tol = float(rng.uniform(0.0, 2.0))
+    return pts, tol
+
+
+def _bits(clusters):
+    """(representative, count) pairs with the representative as raw bits, so NaN compares equal."""
+    return [(struct.pack("<dd", z.real, z.imag), m) for z, m in clusters]
+
+
 class TestClustering:
+    def test_same_merges_as_the_closest_pair_scan(self):
+        rng = np.random.default_rng(2024)
+        for case in range(3000):
+            pts, tol = _cluster_case(rng, case % 6)
+            assert _bits(cluster_points(pts, tol)) == _bits(_scan_cluster_points(pts, tol)), (pts, tol)
+
+    def test_overflowing_means_match_the_scan(self):
+        for pts, tol in (
+            ([1e308, 1e308, 1e308, -1e308], math.inf),
+            ([1.5e308 + 1e308j, 1.6e308 - 1e308j, -1e308 + 1e308j], math.inf),
+            ([1e308, 1.2e308, 1.7e308, 1.1e308], 1e308),
+        ):
+            got = cluster_points(pts, tol)
+            assert _bits(got) == _bits(_scan_cluster_points(pts, tol))
+            assert sum(m for _, m in got) == len(pts)
+
     def test_merges_close_points(self):
         merged = cluster_points([1.0, 1.0 + 1e-12, 5.0], tol_abs=1e-8)
         assert [(round(v.real), m) for v, m in merged] == [(1, 2), (5, 1)]

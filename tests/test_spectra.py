@@ -22,6 +22,8 @@ from bcspec import (
     modified_family,
     shift,
 )
+import bcspec.linalg
+import bcspec.spectra
 from bcspec.linalg import cluster_tolerance
 from bcspec.oracle import brute_modified_eigenspace, residual
 
@@ -241,6 +243,48 @@ class TestModifiedEigenspace:
                       Bicomplex(0.0, 1.0), Bicomplex(5.0, 1.0)]:
             space = modified_eigenspace(component_spectra(ex_op), kappa)
             assert space.dim == brute_modified_eigenspace(ex_op, kappa).dim
+
+
+class TestEigenspaces:
+    """SpectrumReport.eigenspaces: eig vectors for simple clusters, the rank test for the rest."""
+
+    @staticmethod
+    def _clustered_op():
+        # t1: eigenvalue 1 of multiplicity 3; t2: eigenvalue 5 of multiplicity 2; the rest simple
+        rng = np.random.default_rng(11)
+        q1, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        q2, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        t1 = q1 @ np.diag([1, 1, 1, 2, 3, 4, 6j, -1j]) @ q1.conj().T
+        t2 = q2 @ np.diag([5, 5, 2, 7, 8, 9, 1 + 1j, -3]) @ q2.conj().T
+        return BicomplexOperator(t1, t2)
+
+    def test_rank_test_once_per_multiple_cluster(self, monkeypatch):
+        op = self._clustered_op()
+        report = component_spectra(op)
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return bcspec.linalg.nullspace(a, *args, **kwargs)
+
+        monkeypatch.setattr(bcspec.spectra, "nullspace", counted)
+        spaces = list(report.eigenspaces())
+        assert [m for _, m in report.eigenvalues_of_T.values if m > 1] == [3, 2, 2]
+        side_multiples = [m for es in (report.upsilon1, report.upsilon2) for _, m in es.values if m > 1]
+        assert side_multiples == [3, 2]
+        # 1 (t1) and 5 (t2) take the rank test once each; 2, simple on each
+        # side, takes an eig vector on both.
+        assert len(calls) == len(side_multiples)
+        for (lam, _), space in zip(report.eigenvalues_of_T.values, spaces):
+            kappa = Bicomplex.from_complex(lam)
+            assert space.dim == brute_modified_eigenspace(op, kappa).dim
+            assert space.case is report.classify_modified(kappa)
+            assert space.max_residual(op) <= 1e-8 * op.scale_norm()
+
+    def test_is_a_generator(self, ex_op):
+        spaces = component_spectra(ex_op).eigenspaces()
+        assert iter(spaces) is spaces
+        assert [s.dim for s in spaces] == [1, 3]
 
 
 class TestEigenspace:
