@@ -156,9 +156,6 @@ class Bicomplex:
             return IdealClass.IN_I2
         return IdealClass.NONSINGULAR
 
-    def is_singular(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.classify(tol) is not IdealClass.NONSINGULAR
-
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.classify(tol) is IdealClass.ZERO
 

@@ -150,10 +150,6 @@ def parse_matrix(obj, where: str = "matrix") -> BicomplexMatrix:
     raise ParseError(f"{where}: expected component form or entrywise scalars")
 
 
-def matrix_to_json(m: BicomplexMatrix) -> dict:
-    return {"minus": cmatrix_to_json(m.minus), "plus": cmatrix_to_json(m.plus)}
-
-
 def parse_operator(obj, where: str = "operator") -> BicomplexOperator:
     """{"n": int, "t1": [[...]], "t2": [[...]]}; n is optional and checked when present."""
     if not isinstance(obj, dict) or "t1" not in obj or "t2" not in obj:

@@ -135,6 +135,15 @@ class EigenSet:
             return math.inf
         return min(abs(lam - v) for v, _ in self.values)
 
+    def distances(self, points) -> np.ndarray:
+        """|z - v| for each point z (rows) and cluster v (columns), as distance computes it.
+
+        np.hypot equals Python's abs bit for bit where finite (np.abs does not),
+        and gives inf where abs raises OverflowError.
+        """
+        d = np.asarray(points, dtype=complex)[:, None] - np.array(self.value_list(), dtype=complex)
+        return np.hypot(d.real, d.imag)
+
     def contains(self, lam) -> bool:
         """Membership within tol; a tie at the boundary is a member."""
         return self.distance(lam) <= self.tol
@@ -301,9 +310,8 @@ def simple_eigenvectors(a, es: EigenSet) -> list[np.ndarray | None]:
         vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
         raise ConvergenceError(f"eigenvector iteration failed: {exc}") from exc
-    reps = np.array(es.value_list())
-    nearest = np.abs(vals[:, None] - reps[None, :]).argmin(axis=1)
-    received = np.bincount(nearest, minlength=len(reps))
+    nearest = es.distances(vals).argmin(axis=1)
+    received = np.bincount(nearest, minlength=len(es.values))
     for col, k in enumerate(nearest):
         if es.values[k][1] == 1 and received[k] == 1:
             out[k] = vecs[:, col]

@@ -63,6 +63,17 @@ class ModifiedCase(Enum):
     BOTH = "Both"
 
 
+def _case(minus_member: bool, plus_member: bool) -> ModifiedCase | None:
+    """The case of kappa from kappa^- in Y1 and kappa^+ in Y2; None when neither holds."""
+    if minus_member and plus_member:
+        return ModifiedCase.BOTH
+    if minus_member:
+        return ModifiedCase.ONLY_MINUS
+    if plus_member:
+        return ModifiedCase.ONLY_PLUS
+    return None
+
+
 @dataclass(frozen=True)
 class ModifiedEigenvalue:
     kappa: Bicomplex
@@ -102,38 +113,35 @@ class SpectrumReport:
 
         kappa is modified iff kappa^- in Y1 or kappa^+ in Y2; the case says which.
         """
-        m1 = self.upsilon1.contains(kappa.minus)
-        m2 = self.upsilon2.contains(kappa.plus)
-        if m1 and m2:
-            return ModifiedCase.BOTH
-        if m1:
-            return ModifiedCase.ONLY_MINUS
-        if m2:
-            return ModifiedCase.ONLY_PLUS
-        return None
+        return _case(self.upsilon1.contains(kappa.minus), self.upsilon2.contains(kappa.plus))
 
     def eigenspaces(self) -> Iterator[ModifiedEigenspace]:
         """The eigenspace of each eigenvalue of T, in the order of eigenvalues_of_T.
 
-        A side takes its part from one eig of its matrix when the eigenvalue
-        lies within tol of exactly one of its clusters and that cluster is
-        simple (see simple_eigenvectors).  Every other eigenvalue goes
-        through modified_eigenspace and its rank test.  The spaces are made
-        one at a time and not kept.
+        One distances query per side finds the clusters within tol of each
+        eigenvalue, and so its case.  A side takes its part from one eig of
+        its matrix when exactly one cluster is near and it is simple (see
+        simple_eigenvectors); otherwise modified_eigenspace runs its rank
+        test.  The spaces are made one at a time and not kept.
         """
         n = self.op.n
+        lams = self.eigenvalues_of_T.value_list()
         sides = [
-            (es, np.array(es.value_list()), simple_eigenvectors(t, es))
+            (es.distances(lams) <= es.tol, simple_eigenvectors(t, es))
             for t, es in ((self.op.t1, self.upsilon1), (self.op.t2, self.upsilon2))
         ]
-        for lam, _ in self.eigenvalues_of_T.values:
+        for row, lam in enumerate(lams):
             kappa = Bicomplex.from_complex(lam)
-            case = self.classify_modified(kappa)
-            members = (case is not ModifiedCase.ONLY_PLUS, case is not ModifiedCase.ONLY_MINUS)
-            bases = [
-                _simple_eigenspace(lam, n, *side) if member else CSubspace.zero(n)
-                for side, member in zip(sides, members)
-            ]
+            case = _case(*(within[row].any() for within, _ in sides))
+            bases = []
+            for within, vectors in sides:
+                near = np.flatnonzero(within[row])
+                if len(near) == 0:
+                    bases.append(CSubspace.zero(n))
+                elif len(near) == 1 and vectors[near[0]] is not None:
+                    bases.append(CSubspace(n, vectors[near[0]][:, None]))
+                else:
+                    bases.append(None)
             if case is None or None in bases:
                 yield modified_eigenspace(self, kappa)
             else:
@@ -142,14 +150,6 @@ class SpectrumReport:
     def symbolic(self) -> str:
         """The modified spectrum as a union of two cylinders: (Y1 xe C1) ∪ (C1 xe Y2)."""
         return f"({_set_str(self.upsilon1)} xe C1) U (C1 xe {_set_str(self.upsilon2)})"
-
-
-def _simple_eigenspace(lam: complex, n: int, es: EigenSet, reps, vectors) -> CSubspace | None:
-    """The span of the eig vector of the one cluster within es.tol of lam, if it is simple."""
-    near = np.flatnonzero(np.abs(reps - lam) <= es.tol)
-    if len(near) != 1 or vectors[near[0]] is None:
-        return None
-    return CSubspace(n, vectors[near[0]][:, None])
 
 
 def _format_complex(z: complex) -> str:

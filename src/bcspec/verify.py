@@ -397,9 +397,9 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
         Bicomplex(report.upsilon1.value_list()[0], report.upsilon2.value_list()[0]),
     ]
     bound = _residual_bound(op, cluster_tol)
-    for kappa in kappas:
+    brutes = [brute_modified_eigenspace(op, kappa, cluster_tol) for kappa in kappas]
+    for kappa, brute in zip(kappas, brutes):
         space = modified_eigenspace(report, kappa)
-        brute = brute_modified_eigenspace(op, kappa, cluster_tol)
         check(
             space.dim == brute.dim,
             f"structure dim {space.dim} != block dim {brute.dim} at {kappa} ({profile})",
@@ -419,9 +419,7 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
         else:
             check(not space.all_eigenvectors_singular, "Both case must not flag singular")
     # rejection test: a vector outside the eigenspace has a clearly positive residual
-    kappa = kappas[0]
-    space = modified_eigenspace(report, kappa)
-    brute = brute_modified_eigenspace(op, kappa, cluster_tol)
+    kappa, brute = kappas[0], brutes[0]
     for attempt in range(20):
         probe = random_vector(rng.child(7, attempt), n)
         flat = np.concatenate([probe.minus, probe.plus])

@@ -271,6 +271,36 @@ class TestClustering:
         assert not es.contains(np.nextafter(1.5, 2.0))
         assert not es.contains(2.5)
 
+    def test_distances_are_python_abs(self):
+        rng = np.random.default_rng(2503)
+
+        def draw(k, exponent):
+            scale = 10.0 ** rng.integers(-exponent, exponent + 1, (2, k))
+            return rng.standard_normal(k) * scale[0] + 1j * rng.standard_normal(k) * scale[1]
+
+        for points, reps in ((draw(5000, 300), draw(8, 300)), (draw(1000, 0), draw(8, 0))):
+            es = EigenSet(tuple((complex(v), 1) for v in reps), tol=1.0)
+            expected = np.array([[abs(complex(z) - complex(v)) for v in reps] for z in points])
+            assert es.distances(points).tobytes() == expected.tobytes()
+            # np.abs rounds some of these differently, so it could not stand in for abs.
+            assert (np.abs(points[:, None] - reps) != expected).any()
+
+    def test_distances_give_inf_where_abs_overflows(self):
+        es = EigenSet(((0j, 1),), tol=1.0)
+        with pytest.raises(OverflowError):
+            abs(complex(1.3e308, 1.3e308))
+        with np.errstate(over="ignore"):
+            assert es.distances([complex(1.3e308, 1.3e308)])[0, 0] == math.inf
+
+    def test_batch_membership_agrees_with_contains_at_the_boundary(self):
+        rng = np.random.default_rng(7)
+        for z in rng.standard_normal(300) + 1j * rng.standard_normal(300):
+            d = abs(complex(z) - 1.0)
+            # z sits at exactly tol, then at the next float beyond it.
+            for tol in (d, np.nextafter(d, 0.0)):
+                es = EigenSet(((1.0 + 0j, 1),), tol=float(tol))
+                assert bool((es.distances([z]) <= es.tol).any()) == es.contains(z)
+
 
 class TestSubspaceArithmetic:
     def test_sum_and_intersection_of_planes(self):
