@@ -29,7 +29,7 @@ from . import jsonio
 from .core import DEFAULT_TOL, Bicomplex
 from .errors import BcspecError, ConvergenceError, NonFiniteValueError, ParseError
 from .linalg import DEFAULT_CLUSTER_TOL
-from .operators import classify_vector, is_singular_operator
+from .operators import BicomplexMatrix, BicomplexOperator, classify_vector, is_singular_operator
 from .spectra import component_spectra, eigenspace_sum, modified_eigenspace
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_sum_search, run_verify
 
@@ -145,7 +145,8 @@ def _cmd_decompose(args) -> int:
             report["note"] = "singular element: no multiplicative inverse"
     else:
         if isinstance(obj, dict) and "t1" in obj:
-            matrix = jsonio.parse_operator(obj).as_matrix()
+            op = jsonio.parse_operator(obj)
+            matrix = BicomplexMatrix(op.t1, op.t2)
         else:
             matrix = jsonio.parse_matrix(obj)
         report["kind"] = "matrix"
@@ -157,7 +158,7 @@ def _cmd_decompose(args) -> int:
             [matrix.entry(i, j).classify(tol).value for j in range(cols)] for i in range(rows)
         ]
         if rows == cols:
-            report["operator_singular"] = is_singular_operator(matrix.as_operator(), tol)
+            report["operator_singular"] = is_singular_operator(BicomplexOperator(matrix.minus, matrix.plus), tol)
     _emit(report, args)
     return EXIT_OK
 

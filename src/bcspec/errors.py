@@ -33,10 +33,6 @@ class BaseNotEigenvalueError(BcspecError):
     """The base scalar of a modified-eigenvalue family is not a component eigenvalue."""
 
 
-class NotEigenvalueError(BcspecError):
-    """The given scalar is not an eigenvalue of the operator."""
-
-
 class NotModifiedEigenvalueError(BcspecError):
     """The given bicomplex scalar is not a modified eigenvalue of the operator."""
 

@@ -6,10 +6,10 @@ Scalars accept three encodings and always emit "idem" plus "cart":
     {"cart": [re1, im1, re2, im2]}        # x = z1 + i2*z2
     {"real": [u1, u2, u3, u4]}            # u1 + i1*u2 + i2*u3 + i1*i2*u4
 
-Complex numbers are always [re, im] pairs.  Operators are
-{"n": int, "t1": [[[re, im], ...], ...], "t2": ...}; vectors and matrices
-accept either the component form {"minus": ..., "plus": ...} or entrywise
-scalar objects, and are emitted in component form.
+Complex numbers are always [re, im] pairs.  Operators are read as
+{"n": int, "t1": [[[re, im], ...], ...], "t2": ...}; matrices are read in
+either the component form {"minus": ..., "plus": ...} or as entrywise scalar
+objects; vectors are only written, in component form.
 """
 
 from __future__ import annotations
@@ -107,20 +107,6 @@ def cmatrix_to_json(a: np.ndarray) -> list[list[list[float]]]:
     return [cvector_to_json(row) for row in np.asarray(a)]
 
 
-def parse_vector(obj, where: str = "vector") -> BicomplexVector:
-    """Component form {"minus": [...], "plus": [...]} or a list of scalar objects."""
-    if isinstance(obj, dict) and "minus" in obj and "plus" in obj:
-        minus = _parse_cvector(obj["minus"], f"{where}.minus")
-        plus = _parse_cvector(obj["plus"], f"{where}.plus")
-        if minus.shape != plus.shape:
-            raise ParseError(f"{where}: component lengths differ")
-        return BicomplexVector(minus, plus)
-    if isinstance(obj, list):
-        entries = [parse_scalar(e, f"{where}[{i}]") for i, e in enumerate(obj)]
-        return BicomplexVector.from_entries(entries)
-    raise ParseError(f"{where}: expected component form or a list of scalars")
-
-
 def vector_to_json(v: BicomplexVector) -> dict:
     return {"minus": cvector_to_json(v.minus), "plus": cvector_to_json(v.plus)}
 
@@ -166,9 +152,3 @@ def parse_operator(obj, where: str = "operator") -> BicomplexOperator:
             raise ParseError(f"{where}: n={n} inconsistent with t1 shape {t1.shape}")
     return BicomplexOperator(t1, t2)
 
-
-def operator_to_json(op: BicomplexOperator) -> dict:
-    out = {"t1": cmatrix_to_json(op.t1), "t2": cmatrix_to_json(op.t2)}
-    if op.is_square:
-        out["n"] = op.shape[0]
-    return out

@@ -141,8 +141,9 @@ class EigenSet:
         np.hypot equals Python's abs bit for bit where finite (np.abs does not),
         and gives inf where abs raises OverflowError.
         """
-        d = np.asarray(points, dtype=complex)[:, None] - np.array(self.value_list(), dtype=complex)
-        return np.hypot(d.real, d.imag)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan at the top of the range
+            d = np.asarray(points, dtype=complex)[:, None] - np.array(self.value_list(), dtype=complex)
+            return np.hypot(d.real, d.imag)
 
     def contains(self, lam) -> bool:
         """Membership within tol; a tie at the boundary is a member."""
@@ -193,6 +194,8 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
     if rank == 0:
         return CSubspace.full(n)
 
+    if not np.isfinite(r[:rank]).all():
+        raise NonFiniteValueError("pivoted QR overflowed; entries are too large for the nullspace")
     # Null vectors in pivoted coordinates: [x; e_j] with R11 x = -R12 e_j.
     x = scipy.linalg.solve_triangular(r[:rank, :rank], -r[:rank, rank:])
     permuted = np.vstack([x, np.eye(n - rank, dtype=np.complex128)])
@@ -316,27 +319,6 @@ def simple_eigenvectors(a, es: EigenSet) -> list[np.ndarray | None]:
         if es.values[k][1] == 1 and received[k] == 1:
             out[k] = vecs[:, col]
     return out
-
-
-def eigen_decompose(
-    a, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> tuple[EigenSet, list[CSubspace]]:
-    """Clustered spectrum plus the geometric eigenspace of each cluster.
-
-    A simple cluster takes its eigenvector from simple_eigenvectors.  Any
-    other cluster's eigenspace is the nullspace of A - lam*I at the
-    clustering threshold, so geometric dimension never exceeds what the
-    residual bound 1e-8 * (1 + ||A||) supports.
-    """
-    a = as_carray(a)
-    n = _require_square(a, "eigen_decompose")
-    es = eigenvalues(a, cluster_tol)
-    eye = np.eye(n, dtype=np.complex128)
-    spaces = [
-        nullspace(a - lam * eye, threshold=es.tol) if v is None else CSubspace(n, v[:, None])
-        for (lam, _), v in zip(es.values, simple_eigenvectors(a, es))
-    ]
-    return es, spaces
 
 
 def subspace_sum(u: CSubspace, w: CSubspace, tol: float = DEFAULT_TOL) -> CSubspace:

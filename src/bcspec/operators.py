@@ -44,14 +44,6 @@ class BicomplexVector:
             )
 
     @classmethod
-    def from_entries(cls, entries) -> "BicomplexVector":
-        entries = list(entries)
-        return cls(
-            np.array([e.minus for e in entries], dtype=np.complex128),
-            np.array([e.plus for e in entries], dtype=np.complex128),
-        )
-
-    @classmethod
     def zero(cls, n: int) -> "BicomplexVector":
         return cls(np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128))
 
@@ -73,9 +65,6 @@ class BicomplexVector:
 
     def entry(self, i: int) -> Bicomplex:
         return Bicomplex(complex(self.minus[i]), complex(self.plus[i]))
-
-    def entries(self) -> list[Bicomplex]:
-        return [self.entry(i) for i in range(self.n)]
 
     def norm(self) -> float:
         """Euclidean norm of the concatenated component vectors."""
@@ -142,9 +131,6 @@ class BicomplexMatrix:
     def entry(self, i: int, j: int) -> Bicomplex:
         return Bicomplex(complex(self.minus[i, j]), complex(self.plus[i, j]))
 
-    def as_operator(self) -> "BicomplexOperator":
-        return BicomplexOperator(self.minus, self.plus)
-
 
 @dataclass(eq=False)
 class BicomplexOperator:
@@ -189,9 +175,6 @@ class BicomplexOperator:
         if not self.is_square:
             raise NonSquareError(f"operator is {self.shape}, not square")
         return self.t1.shape[0]
-
-    def as_matrix(self) -> BicomplexMatrix:
-        return BicomplexMatrix(self.t1, self.t2)
 
     def scale_norm(self) -> float:
         """1 + ||t1||_F + ||t2||_F; the scale used by residual and membership bounds."""

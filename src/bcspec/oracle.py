@@ -95,14 +95,6 @@ def block_embed(op: BicomplexOperator) -> np.ndarray:
     return out
 
 
-def embed_vector(v: BicomplexVector) -> np.ndarray:
-    return np.concatenate([v.minus, v.plus])
-
-
-def split_vector(x: np.ndarray, n: int) -> BicomplexVector:
-    return BicomplexVector(x[:n], x[n:])
-
-
 def residual(op: BicomplexOperator, kappa, v: BicomplexVector) -> float:
     """||T v - kappa v|| in the Euclidean norm of the concatenated components."""
     if v.is_exact_zero():

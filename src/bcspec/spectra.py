@@ -38,7 +38,6 @@ from .errors import (
     BaseNotEigenvalueError,
     InvalidArgumentError,
     NonSquareError,
-    NotEigenvalueError,
     NotModifiedEigenvalueError,
 )
 from .linalg import (
@@ -77,7 +76,7 @@ def _case(minus_member: bool, plus_member: bool) -> ModifiedCase | None:
 @dataclass(frozen=True)
 class ModifiedEigenvalue:
     kappa: Bicomplex
-    case: ModifiedCase
+    case: ModifiedCase | None  # None only on a rejected containment grid pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,27 +197,23 @@ def modified_family(
 class ContainmentRecord:
     """Check of the grid Y1 xe Y2 against the modified spectrum.
 
-    Every grid pair must be a modified eigenvalue (case Both); witness is a
-    modified eigenvalue outside the grid, demonstrating proper containment.
-    A witness always exists because Y2 is finite while the plus side of the
-    cylinder (Y1 xe C1) ranges over all of C1.
+    Each grid pair carries the case classify_modified gives it, which must be
+    Both (None when the pair is rejected); witness is a modified eigenvalue
+    outside the grid, demonstrating proper containment.  A witness always
+    exists because Y2 is finite while the plus side of the cylinder
+    (Y1 xe C1) ranges over all of C1.
     """
 
     pairs: list[ModifiedEigenvalue]
-    all_pairs_modified: bool
     witness: ModifiedEigenvalue | None
 
 
 def contains_idempotent_product(report: SpectrumReport) -> ContainmentRecord:
     pairs = []
-    all_ok = True
     for k1 in report.upsilon1.value_list():
         for k2 in report.upsilon2.value_list():
             kappa = Bicomplex(k1, k2)
-            case = report.classify_modified(kappa)
-            ok = case is ModifiedCase.BOTH
-            all_ok = all_ok and ok
-            pairs.append(ModifiedEigenvalue(kappa, case if case else ModifiedCase.BOTH))
+            pairs.append(ModifiedEigenvalue(kappa, report.classify_modified(kappa)))
     witness = None
     if report.upsilon1.values:
         # Plus component pushed past every member of Y2: outside the grid by
@@ -230,7 +225,7 @@ def contains_idempotent_product(report: SpectrumReport) -> ContainmentRecord:
         case = report.classify_modified(kappa)
         if case is ModifiedCase.ONLY_MINUS:
             witness = ModifiedEigenvalue(kappa, case)
-    return ContainmentRecord(pairs, all_ok, witness)
+    return ContainmentRecord(pairs, witness)
 
 
 @dataclass(eq=False)
@@ -292,14 +287,6 @@ def modified_eigenspace(report: SpectrumReport, kappa: Bicomplex) -> ModifiedEig
     else:
         plus_basis = nullspace(op.t2 - kappa.plus * eye, threshold=report.upsilon2.tol)
     return ModifiedEigenspace(kappa, case, minus_basis, plus_basis)
-
-
-def eigenspace(report: SpectrumReport, lam) -> ModifiedEigenspace:
-    """Eigenspace of a complex eigenvalue: the modified eigenspace of its diagonal embedding."""
-    lam = complex(lam)
-    if not report.is_eigenvalue(lam):
-        raise NotEigenvalueError(f"{lam} is not an eigenvalue")
-    return modified_eigenspace(report, Bicomplex.from_complex(lam))
 
 
 @dataclass(frozen=True)

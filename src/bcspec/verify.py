@@ -323,7 +323,6 @@ def _suite_containment(check, rng, n, tol, cluster_tol):
     op = planted.operator
     report = component_spectra(op, cluster_tol)
     rec = contains_idempotent_product(report)
-    check(rec.all_pairs_modified, "a grid pair failed the modified-eigenvalue test")
     for pair in rec.pairs:
         check(pair.case is ModifiedCase.BOTH, f"grid pair {pair.kappa} not tagged Both")
     check(rec.witness is not None, "no proper-containment witness produced")

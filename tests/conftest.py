@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import bcspec.verify
-from bcspec import BicomplexOperator, kernel
+from bcspec import BicomplexOperator, ModifiedCase, component_spectra, kernel
+from bcspec.linalg import frobenius
 
 
 @pytest.fixture
@@ -23,6 +24,24 @@ def swapped_kernel(monkeypatch):
         return k2, k1
 
     monkeypatch.setattr(bcspec.verify, "kernel", faulty)
+
+
+def side_eigenspaces(a):
+    """Clustered spectrum of a and the eigenspace of each cluster, as `spectrum` computes them.
+
+    a becomes t1 of an operator whose t2 = c*I puts its one eigenvalue c far
+    from the spectrum of a, so every eigenvalue of T in Y1 is one-sided
+    (OnlyMinus) and the minus basis report.eigenspaces() yields for it is the
+    eigenspace of a.  Returns (Y1, spaces), the spaces aligned with Y1.values.
+    """
+    a = np.asarray(a, dtype=complex)
+    far = 3.0 * (1.0 + frobenius(a))
+    report = component_spectra(BicomplexOperator(a, far * np.eye(a.shape[0])))
+    es = report.upsilon1
+    spaces = [s for s in report.eigenspaces() if s.case is ModifiedCase.ONLY_MINUS]
+    assert len(spaces) == len(es.values)
+    assert all(abs(s.kappa.minus - v) <= es.tol for s, (v, _) in zip(spaces, es.values))
+    return es, [s.minus_basis for s in spaces]
 
 
 def close2ulp(a: float, b: float, scale: float | None = None) -> bool:

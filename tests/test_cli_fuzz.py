@@ -6,15 +6,18 @@ size ranges and bad tolerances.  No exception may escape `main`; argparse
 rejections count as exit code 2, and no report may print NaN or infinity.
 Exit code 1 (a verify suite failed) is not an allowed outcome either, so
 verify runs at its default tolerances.  The examples are derandomized, so
-every run draws the same ones.
+every run draws the same ones.  Operators with entries at the top of the
+float range hold the valid runs to a stricter rule: stderr stays empty on
+exit 0 (no RuntimeWarning) and holds one `error:` line otherwise.
 """
 
 import contextlib
 import io
 import json
 import re
+import warnings
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bcspec.cli import main
 
@@ -148,3 +151,36 @@ def test_verify(nrange, tol, cluster_tol, fmt):
     n_min, n_max, seed = nrange
     argv = ["verify", "--trials", "1", "--seed", str(seed), f"--n-min={n_min}", f"--n-max={n_max}"]
     _run(argv + _flags(tol, cluster_tol, fmt))
+
+
+top = st.sampled_from([[0, 0], [1, 0], [0, 1], [1e308, 0], [-1e308, 0], [1.7e308, 0], [1e200, 0], [0, 1e308]])
+QUERIES = {
+    "spectrum": [],
+    "modified": ["--kappa", '{"idem":[0,0,1,0]}'],
+    "eigenspace": ["--lam", "[0,0]"],
+    "decompose": [],
+}
+
+
+@st.composite
+def top_of_range_operators(draw):
+    n = draw(st.integers(1, 3))
+    return {t: [[draw(top) for _ in range(n)] for _ in range(n)] for t in ("t1", "t2")}
+
+
+@settings(FUZZ, max_examples=100)
+@given(st.sampled_from(sorted(QUERIES)), top_of_range_operators())
+@example("spectrum", {"t1": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "t2": [[[0, 0], [1e308, 0]], [[0, 0], [0, 1]]]})
+@example("spectrum", {"t1": [[[-1e308, 0]]], "t2": [[[1.7e308, 0]]]})
+def test_top_of_range(command, op):
+    argv = [command, "--input", json.dumps(op), *QUERIES[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert code in (0, 2, 3), (argv, code, stderr)
+    if code == 0:
+        assert stderr == "", argv
+    else:
+        assert re.fullmatch(r"error: [^\n]*\n", stderr), (argv, stderr)

@@ -11,7 +11,6 @@ from bcspec import (
     CSubspace,
     EigenSet,
     NonSquareError,
-    eigen_decompose,
     eigenvalues,
     is_singular_matrix,
     nullspace,
@@ -20,6 +19,7 @@ from bcspec import (
     subspace_sum,
 )
 from bcspec.linalg import cluster_points, cluster_tolerance, frobenius
+from conftest import side_eigenspaces
 
 
 def _companion(roots) -> np.ndarray:
@@ -83,21 +83,23 @@ class TestNullspace:
 
 
 class TestEigenDecompose:
+    """Each cluster of one side and its eigenspace, through report.eigenspaces()."""
+
     def test_projection_eigenpairs(self):
-        es, spaces = eigen_decompose(np.array([[1, 0], [0, 0]], dtype=complex))
+        es, spaces = side_eigenspaces(np.array([[1, 0], [0, 0]], dtype=complex))
         assert [(v, m) for v, m in es.values] == [(0.0, 1), (1.0, 1)]
         by_value = dict(zip(es.value_list(), spaces))
         assert by_value[0.0].contains([0, 1])
         assert by_value[1.0].contains([1, 0])
 
     def test_identity(self):
-        es, spaces = eigen_decompose(np.eye(4, dtype=complex))
+        es, spaces = side_eigenspaces(np.eye(4, dtype=complex))
         assert es.values == ((1.0 + 0.0j, 4),)
         assert spaces[0].dim == 4
 
     def test_companion_roots(self):
         roots = [2.0, 3.0, 5.0]
-        es, _ = eigen_decompose(_companion(roots))
+        es, _ = side_eigenspaces(_companion(roots))
         got = sorted(es.multiset(), key=lambda z: z.real)
         assert all(abs(g - r) <= 1e-8 for g, r in zip(got, roots))
 
@@ -113,7 +115,7 @@ class TestEigenDecompose:
         for _ in range(25):
             n = int(rng.integers(1, 7))
             a = _complex_gauss(rng, (n, n))
-            es, spaces = eigen_decompose(a)
+            es, spaces = side_eigenspaces(a)
             bound = 1e-8 * (1.0 + frobenius(a))
             for (lam, _), space in zip(es.values, spaces):
                 assert space.dim >= 1
@@ -123,7 +125,7 @@ class TestEigenDecompose:
     def test_geometric_at_most_algebraic(self):
         # an upper triangular block with equal diagonal is defective
         a = np.array([[2, 0.01, 0], [0, 2, 0], [0, 0, 5]], dtype=complex)
-        es, spaces = eigen_decompose(a)
+        es, spaces = side_eigenspaces(a)
         by_value = {round(v.real): (m, s.dim) for (v, m), s in zip(es.values, spaces)}
         assert by_value[2] == (2, 1)
         assert by_value[5] == (1, 1)

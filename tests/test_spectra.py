@@ -9,13 +9,11 @@ from bcspec import (
     BicomplexOperator,
     BicomplexVector,
     ModifiedCase,
-    NotEigenvalueError,
     NotModifiedEigenvalueError,
     VectorClass,
     classify_vector,
     component_spectra,
     contains_idempotent_product,
-    eigenspace,
     eigenspace_sum,
     is_singular_operator,
     modified_eigenspace,
@@ -176,7 +174,6 @@ class TestUpsilonDescription:
 class TestContainment:
     def test_worked_example(self, ex_op):
         rec = contains_idempotent_product(component_spectra(ex_op))
-        assert rec.all_pairs_modified
         assert len(rec.pairs) == 2  # {0,1} x {1}
         assert all(p.case is ModifiedCase.BOTH for p in rec.pairs)
         assert rec.witness is not None
@@ -190,7 +187,14 @@ class TestContainment:
 
     def test_identity_operator(self):
         rec = contains_idempotent_product(component_spectra(BicomplexOperator.identity(2)))
-        assert rec.all_pairs_modified and len(rec.pairs) == 1
+        assert [p.case for p in rec.pairs] == [ModifiedCase.BOTH]
+
+    def test_rejected_pair_reports_none(self, ex_op, monkeypatch):
+        report = component_spectra(ex_op)
+        monkeypatch.setattr(bcspec.spectra.SpectrumReport, "classify_modified", lambda self, kappa: None)
+        rec = contains_idempotent_product(report)
+        assert len(rec.pairs) == 2
+        assert all(p.case is None for p in rec.pairs)
 
 
 class TestModifiedEigenspace:
@@ -288,22 +292,32 @@ class TestEigenspaces:
 
 
 class TestEigenspace:
+    """The eigenspace of a complex lam, as `eigenspace --lam` computes it."""
+
+    @staticmethod
+    def _space(op, lam):
+        report = component_spectra(op)
+        assert report.is_eigenvalue(lam)
+        return modified_eigenspace(report, Bicomplex.from_complex(lam))
+
     def test_lambda_one(self, ex_op):
-        space = eigenspace(component_spectra(ex_op), 1.0)
+        space = self._space(ex_op, 1.0)
         assert space.dim == 3
 
     def test_lambda_zero(self, ex_op):
-        space = eigenspace(component_spectra(ex_op), 0.0)
+        space = self._space(ex_op, 0.0)
         assert space.dim == 1
         assert space.minus_basis.contains([0, 1])
 
     def test_identity_full_space(self):
-        space = eigenspace(component_spectra(BicomplexOperator.identity(3)), 1.0)
+        space = self._space(BicomplexOperator.identity(3), 1.0)
         assert space.dim == 6  # 2n over C1
 
     def test_non_eigenvalue_rejected(self, ex_op):
-        with pytest.raises(NotEigenvalueError):
-            eigenspace(component_spectra(ex_op), 4.0)
+        report = component_spectra(ex_op)
+        assert not report.is_eigenvalue(4.0)
+        with pytest.raises(NotModifiedEigenvalueError):
+            modified_eigenspace(report, Bicomplex.from_complex(4.0))
 
 
 class TestEigenspaceSum:
