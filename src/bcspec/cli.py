@@ -12,8 +12,8 @@ explore-sum  sum/intersection dimensions of two modified eigenspaces
 Inputs are JSON files or inline JSON; every report embeds the tolerances and
 seed it used, and identical invocations produce byte-identical output.  Exit
 codes: 0 success/verdict, 1 suite failure, 2 parse/validation error (bad
-arguments and numbers too large for float arithmetic included),
-3 numerical non-convergence.
+arguments, numbers too large for float arithmetic and a report that cannot be
+written included), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -101,10 +101,14 @@ def _render_text(node, lines: list[str], depth: int, label: str | None = None):
 
 def _emit(report: dict, args) -> None:
     text = _render(report, args.format)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # a missing directory, a directory as --output, a full device
+        raise BcspecError(f"cannot write report: {exc}") from exc
 
 
 def _parse_kappa(raw: str, where: str) -> Bicomplex:

@@ -9,12 +9,14 @@ Scalars accept three encodings and always emit "idem" plus "cart":
 Complex numbers are always [re, im] pairs.  Operators are read as
 {"n": int, "t1": [[[re, im], ...], ...], "t2": ...}; matrices are read in
 either the component form {"minus": ..., "plus": ...} or as entrywise scalar
-objects; vectors are only written, in component form.
+objects; vectors are only written, in component form.  Uniform [re, im] number
+pairs are read in one numpy conversion, anything else entry by entry.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -89,7 +91,26 @@ def _parse_cvector(value, where: str) -> np.ndarray:
     return np.array([parse_complex(v, f"{where}[{i}]") for i, v in enumerate(value)], dtype=np.complex128)
 
 
+def _uniform_cmatrix(value) -> np.ndarray | None:
+    """A list of equal-length rows of [re, im] int/float pairs as one complex array; else None."""
+    if not isinstance(value, list) or {type(row) for row in value} != {list}:
+        return None
+    entries = list(chain.from_iterable(value))
+    if set(map(type, entries)) != {list} or not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        return None
+    try:
+        parts = np.array(value, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged rows or pairs; an int beyond float range
+        return None
+    if parts.ndim != 3 or parts.shape[2] != 2:
+        return None
+    return parts.view(np.complex128)[:, :, 0]
+
+
 def _parse_cmatrix(value, where: str) -> np.ndarray:
+    uniform = _uniform_cmatrix(value)
+    if uniform is not None:
+        return uniform
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a non-empty list of rows")
     rows = [_parse_cvector(row, f"{where}[{i}]") for i, row in enumerate(value)]

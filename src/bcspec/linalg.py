@@ -5,6 +5,8 @@ decision behind singularity tests, nullspaces and column spaces, an
 eigensolver with multiplicity clustering, and subspace sum/intersection
 arithmetic.  Factorizations are delegated to LAPACK (column-pivoted QR for
 rank decisions, Hessenberg + shifted QR with deflation for eigenvalues).
+The QR routines are imported on the first rank decision (see _lapack), so a
+command that makes none never pays for that import.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, NonFiniteValueError, NonSquareError
 from .core import DEFAULT_TOL
@@ -150,6 +151,13 @@ class EigenSet:
         return self.distance(lam) <= self.tol
 
 
+def _lapack():
+    """scipy.linalg, imported on first use: the one place this package loads scipy."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 def _rank(a: np.ndarray, r: np.ndarray, tol: float, threshold: float | None) -> int:
     """Rank of A from the R factor of its column-pivoted QR.
 
@@ -169,7 +177,7 @@ def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool:
     n = _require_square(a, "is_singular_matrix")
     if n == 0:
         return False
-    r, _ = scipy.linalg.qr(a, mode="r", pivoting=True)
+    r, _ = _lapack().qr(a, mode="r", pivoting=True)
     return _rank(a, r, tol, None) < n
 
 
@@ -187,7 +195,7 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
     if m == 0:
         return CSubspace.full(n)
 
-    r, piv = scipy.linalg.qr(a, mode="r", pivoting=True)
+    r, piv = _lapack().qr(a, mode="r", pivoting=True)
     rank = _rank(a, r, tol, threshold)
     if rank == n:
         return CSubspace.zero(n)
@@ -197,7 +205,7 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
     if not np.isfinite(r[:rank]).all():
         raise NonFiniteValueError("pivoted QR overflowed; entries are too large for the nullspace")
     # Null vectors in pivoted coordinates: [x; e_j] with R11 x = -R12 e_j.
-    x = scipy.linalg.solve_triangular(r[:rank, :rank], -r[:rank, rank:])
+    x = _lapack().solve_triangular(r[:rank, :rank], -r[:rank, rank:])
     permuted = np.vstack([x, np.eye(n - rank, dtype=np.complex128)])
     basis = np.zeros((n, n - rank), dtype=np.complex128)
     basis[piv, :] = permuted
@@ -211,7 +219,7 @@ def column_space(a, tol: float = DEFAULT_TOL) -> CSubspace:
     m, n = a.shape
     if m == 0 or n == 0:
         return CSubspace.zero(m)
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    q, r, _ = _lapack().qr(a, mode="economic", pivoting=True)
     return CSubspace(m, q[:, : _rank(a, r, tol, None)])
 
 

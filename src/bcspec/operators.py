@@ -28,6 +28,15 @@ class VectorClass(Enum):
     NONSINGULAR = "NonSingular"
 
 
+def _pair_norm(minus: np.ndarray, plus: np.ndarray) -> float:
+    """Euclidean norm of the two complex vectors stacked end to end."""
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.linalg.norm(minus) ** 2 + np.linalg.norm(plus) ** 2))
+    if math.isinf(norm):  # squares beyond float range: rescale
+        norm = frobenius(np.concatenate([minus, plus]))
+    return norm
+
+
 @dataclass(eq=False)
 class BicomplexVector:
     """Element of C2^n as the pair of its idempotent component vectors."""
@@ -68,11 +77,7 @@ class BicomplexVector:
 
     def norm(self) -> float:
         """Euclidean norm of the concatenated component vectors."""
-        with np.errstate(over="ignore"):
-            norm = float(np.sqrt(np.linalg.norm(self.minus) ** 2 + np.linalg.norm(self.plus) ** 2))
-        if math.isinf(norm):  # squares beyond float range: rescale
-            norm = frobenius(np.concatenate([self.minus, self.plus]))
-        return norm
+        return _pair_norm(self.minus, self.plus)
 
     def is_exact_zero(self) -> bool:
         return not (np.any(self.minus) or np.any(self.plus))

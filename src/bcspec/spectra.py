@@ -36,6 +36,7 @@ import numpy as np
 from .core import DEFAULT_TOL, Bicomplex
 from .errors import (
     BaseNotEigenvalueError,
+    DimensionMismatchError,
     InvalidArgumentError,
     NonSquareError,
     NotModifiedEigenvalueError,
@@ -44,6 +45,7 @@ from .linalg import (
     DEFAULT_CLUSTER_TOL,
     CSubspace,
     EigenSet,
+    as_carray,
     cluster_points,
     eigenvalues,
     nullspace,
@@ -51,7 +53,7 @@ from .linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from .operators import BicomplexOperator, BicomplexVector, apply, assemble_pair_basis
+from .operators import BicomplexOperator, BicomplexVector, _pair_norm, assemble_pair_basis
 
 
 class ModifiedCase(Enum):
@@ -261,10 +263,17 @@ class ModifiedEigenspace:
         return self.case is not ModifiedCase.BOTH
 
     def max_residual(self, op: BicomplexOperator) -> float:
-        """Largest ||T v - kappa v|| over the assembled basis."""
+        """Largest ||T v - kappa v|| over the assembled basis, each v = e1*u or e2*u taken on its
+        own side: t u - kappa^± u next to exact zeros, normed as BicomplexVector.norm."""
+        n = self.minus_basis.ambient_dim
+        if op.shape[1] != n:
+            raise DimensionMismatchError(f"operator {op.shape} cannot act on a vector of length {n}")
+        zero = np.zeros(n, dtype=np.complex128)
         worst = 0.0
-        for v in self.assembled:
-            worst = max(worst, (apply(op, v) - v.scale(self.kappa)).norm())
+        for u in self.minus_basis.vectors():
+            worst = max(worst, _pair_norm(as_carray(op.t1 @ u - self.kappa.minus * u, ndim=1), zero))
+        for w in self.plus_basis.vectors():
+            worst = max(worst, _pair_norm(zero, as_carray(op.t2 @ w - self.kappa.plus * w, ndim=1)))
         return worst
 
 

@@ -27,6 +27,9 @@ def op_file(tmp_path):
     return str(path)
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -298,6 +301,59 @@ class TestExploreSum:
         assert "not a modified eigenvalue" in err
 
 
+#: Runs CLI commands in a fresh interpreter; prints [exit code, stdout, scipy.linalg loaded] per command.
+#: With "blocked" as its first argument, any import of scipy raises ImportError.
+GUARD = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from bcspec.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    results.append([code, out.getvalue(), "scipy.linalg" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def _guarded(mode: str, commands: list[list[str]]) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD, mode, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestStartup:
+    def test_scipy_is_loaded_only_for_a_rank_decision(self):
+        simple = json.dumps({"t1": [[[1, 0], [5, 0]], [[0, 0], [2, 0]]], "t2": [[[3, 0], [0, 0]], [[1, 0], [4, 0]]]})
+        double = json.dumps({"t1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "t2": [[[3, 0], [0, 0]], [[0, 0], [4, 0]]]})
+        no_rank_decision = [
+            ["--help"],
+            ["spectrum", "--input", simple],
+            ["decompose", "--input", '{"cart":[1,0,1,0]}'],
+            ["modified", "--input", simple, "--kappa", '{"idem":[7,0,8,0]}'],
+            ["eigenspace", "--input", simple, "--lam", "[7,0]"],
+        ]
+        blocked = _guarded("blocked", no_rank_decision)
+        normal = _guarded("normal", [*no_rank_decision, ["spectrum", "--input", double]])
+        assert [code for code, _, _ in blocked] == [0] * 5
+        assert [out for _, out, _ in blocked] == [out for _, out, _ in normal[:5]]
+        # the probe sees scipy arrive with the first rank decision, so its absence above means something
+        assert [loaded for _, _, loaded in normal] == [False] * 5 + [True]
+        code, out, _ = normal[5]
+        assert code == 0 and json.loads(out)["eigenspaces"][0]["dimension"] == 2
+
+
 class TestErrorHandling:
     def test_bad_json_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "--input", "{broken")
@@ -410,6 +466,28 @@ class TestOutputModes:
         assert code == 0 and out == ""
         report = json.loads(target.read_text())
         assert report["command"] == "spectrum"
+
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, op_file, kind):
+        target = tmp_path / "missing" / "x.json" if kind == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, "spectrum", "--input", op_file, "--output", str(target))
+        reason = "[Errno 2] No such file or directory" if kind == "missing-directory" else "[Errno 21] Is a directory"
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: cannot write report: {reason}: '{target}'"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_stdout_exit_2(self, op_file):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bcspec.cli", "spectrum", "--input", op_file],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC},
+                timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write report: [Errno 28] No space left on device\n"
 
     def test_text_format(self, capsys, op_file):
         code, out, _ = run_cli(capsys, "spectrum", "--input", op_file, "--format", "text")

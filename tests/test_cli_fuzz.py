@@ -98,6 +98,7 @@ def test_decompose(obj, flags):
 
 @FUZZ
 @given(operators(), common)
+@example({"t1": [[[True, 0]]], "t2": [[[1, 0]]]}, [])  # a boolean is not a number: exit 2
 def test_spectrum(op, flags):
     _run(["spectrum", "--input", json.dumps(op), *flags])
 

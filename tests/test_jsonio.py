@@ -1,5 +1,7 @@
 """JSON encodings: the three scalar forms, emitted vectors, matrices, operators."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,90 @@ class TestMatrixAndOperator:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ParseError, match="unequal"):
             jsonio.parse_matrix({"minus": [[[1, 0]], [[1, 0], [0, 0]]], "plus": [[[1, 0]], [[1, 0], [0, 0]]]})
+
+
+#: Leaves of the parse fuzz: numbers at the edges of float conversion, and everything else JSON can hold.
+LEAVES = [
+    lambda r: r.randint(-9, 9),
+    lambda r: r.uniform(-1e3, 1e3),
+    lambda r: -0.0,
+    lambda r: 2**53 + 1,
+    lambda r: 2**64 + 1,
+    lambda r: 10**400,
+    lambda r: float("nan"),
+    lambda r: float("inf"),
+    lambda r: True,
+    lambda r: "1",
+    lambda r: None,
+    lambda r: [r.random()],
+    lambda r: {},
+]
+
+
+def _leaf(r: random.Random, junk: float):
+    return r.choice(LEAVES[:2])(r) if r.random() > junk else r.choice(LEAVES)(r)
+
+
+def _fuzz_matrix(r: random.Random):
+    """A nested list that is mostly a rectangular matrix of [re, im] pairs, often subtly not."""
+    rows, cols = r.randint(1, 4), r.randint(1, 4)
+    junk = r.choice([0.0, 0.0, 0.05, 0.3])
+    matrix = [[[_leaf(r, junk), _leaf(r, junk)] for _ in range(cols)] for _ in range(rows)]
+    shape = r.choice(["uniform"] * 4 + ["ragged", "bare", "mixed", "triple", "empty-row", "not-a-list"])
+    i = r.randrange(rows)
+    if shape == "ragged":
+        matrix[i] = matrix[i][:-1] or [[1, 0], [2, 0]]
+    elif shape == "bare":
+        matrix[i] = [_leaf(r, junk) for _ in range(cols)]
+    elif shape == "mixed":
+        matrix[i][r.randrange(cols)] = _leaf(r, junk)
+    elif shape == "triple":
+        matrix[i][r.randrange(cols)].append(_leaf(r, junk))
+    elif shape == "empty-row":
+        matrix[i] = []
+    elif shape == "not-a-list":
+        matrix[i] = r.choice([{}, "row", 3, None])
+    return matrix
+
+
+def _outcome(obj):
+    """parse_operator's arrays as bytes, or the type and message of what it raised."""
+    try:
+        op = jsonio.parse_operator(obj)
+    except Exception as exc:  # every outcome is compared, whatever it is
+        return type(exc), str(exc)
+    return [(t.dtype, t.shape, t.tobytes()) for t in (op.t1, op.t2)]
+
+
+class TestUniformFastPath:
+    def test_equals_the_per_entry_path(self, monkeypatch):
+        r = random.Random(20260418)
+        fast = 0
+        for _ in range(3000):
+            t1 = _fuzz_matrix(r)
+            t2 = t1 if r.random() < 0.3 else _fuzz_matrix(r)
+            obj = {"t1": t1, "t2": t2}
+            fast += jsonio._uniform_cmatrix(t1) is not None
+            got = _outcome(obj)
+            with monkeypatch.context() as m:
+                m.setattr(jsonio, "_uniform_cmatrix", lambda value: None)
+                want = _outcome(obj)
+            assert got == want, obj
+        assert 500 < fast < 2500  # both routes ran
+
+    def test_uniform_operator_reads_no_entry_alone(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        obj = {side: rng.standard_normal((64, 64, 2)).tolist() for side in ("t1", "t2")}
+        calls = []
+        per_entry = jsonio.parse_complex
+        monkeypatch.setattr(jsonio, "parse_complex", lambda *a: calls.append(a) or per_entry(*a))
+        op = jsonio.parse_operator(obj)
+        assert calls == []
+        assert np.array_equal(op.t1, np.array(obj["t1"]) @ [1, 1j])
+
+    def test_boolean_entry_is_not_a_number(self):
+        with pytest.raises(ParseError, match=r"operator\.t1\[0\]\[0\]: expected a number, got True"):
+            jsonio.parse_operator({"t1": [[[True, 0]]], "t2": [[[1, 0]]]})
 
 
 class TestLoads:
