@@ -2,17 +2,19 @@
 
 Everything the componentwise bicomplex computations need: one rank
 decision behind singularity tests, nullspaces and column spaces, an
-eigensolver with multiplicity clustering, and subspace sum/intersection
-arithmetic.  Factorizations are delegated to LAPACK (column-pivoted QR for
-rank decisions, Hessenberg + shifted QR with deflation for eigenvalues).
-The QR routines are imported on the first rank decision (see _lapack), so a
-command that makes none never pays for that import.
+eigensolver with multiplicity clustering that keeps the eigenvector of each
+simple eigenvalue, and subspace sum/intersection arithmetic.  Factorizations
+are delegated to LAPACK: column-pivoted QR of the matrix scaled by a power
+of two for rank decisions (see _pivoted_qr), and one eig per matrix for its
+eigenvalues and eigenvectors.  The QR routines are imported on the first
+rank decision (see _lapack), so a command that makes none never pays for
+that import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,11 +112,19 @@ class EigenSet:
 
     Representatives are pairwise separated by more than tol, the absolute
     tolerance the set was clustered at and decides membership with, and
-    multiplicities sum to the matrix dimension.
+    multiplicities sum to the matrix dimension.  vectors, aligned with
+    values, holds the unit eigenvector of each simple cluster as eig
+    returned it and None for every other cluster; it is all None when the
+    set was not computed by eigenvalues, and equality and hashing ignore it.
     """
 
     values: tuple[tuple[complex, int], ...]
     tol: float
+    vectors: tuple[np.ndarray | None, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.vectors:
+            object.__setattr__(self, "vectors", (None,) * len(self.values))
 
     @property
     def total_multiplicity(self) -> int:
@@ -158,35 +168,46 @@ def _lapack():
     return scipy.linalg
 
 
-def _rank(a: np.ndarray, r: np.ndarray, tol: float, threshold: float | None) -> int:
-    """Rank of A from the R factor of its column-pivoted QR.
+def _pivoted_qr(a: np.ndarray, tol: float, threshold: float | None = None, mode: str = "r"):
+    """Rank of A and the column-pivoted QR factors of s*A, with s = 2**-e.
 
-    Diagonal entries of R at or below the threshold (default
-    tol * max(||A||_F, 1) * max(rows, cols)) count as zero, so a tie errs
-    toward rank deficiency.  The floor at 1 keeps near-zero matrices
-    consistent with the scalar classifier.
+    e is the exponent of A's largest real or imaginary part, so no part of
+    s*A reaches 1 and its factors cannot overflow; a power-of-two scale is
+    exact.  e is at least that of the smallest normal number, so s stays
+    finite when every entry is subnormal.  Diagonal entries of R at or below
+    the threshold, scaled alike, count as zero, so a tie errs toward rank
+    deficiency.  The default threshold tol * max(||A||_F, 1) * max(rows, cols)
+    is computed as tol * max(||sA||_F, s) * max(rows, cols); the floor at 1
+    keeps near-zero matrices consistent with the scalar classifier.  A must
+    be non-empty.
     """
+    big = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    s = math.ldexp(1.0, -max(math.frexp(big)[1], -1021))
+    a = a * s
+    # as_carray has rejected non-finite entries, and the scale keeps them finite.
+    factors = _lapack().qr(a, mode=mode, pivoting=True, check_finite=False)
     if threshold is None:
-        threshold = tol * max(frobenius(a), 1.0) * max(a.shape)
-    return int(np.count_nonzero(np.abs(np.diag(r)) > threshold))
+        threshold = tol * max(frobenius(a), s) * max(a.shape)
+    else:
+        threshold = s * threshold
+    return int(np.count_nonzero(np.abs(np.diag(factors[-2])) > threshold)), factors
 
 
 def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the rank of the square matrix A is below its size (see _rank)."""
+    """True iff the rank of the square matrix A is below its size (see _pivoted_qr)."""
     a = as_carray(a)
     n = _require_square(a, "is_singular_matrix")
     if n == 0:
         return False
-    r, _ = _lapack().qr(a, mode="r", pivoting=True)
-    return _rank(a, r, tol, None) < n
+    return _pivoted_qr(a, tol)[0] < n
 
 
 def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CSubspace:
     """Orthonormal basis of {v : A v ≈ 0}.
 
     Rank is decided by column-pivoted QR at the threshold described in
-    _rank, the same decision is_singular_matrix makes, so the decision errs
-    toward a larger nullspace.
+    _pivoted_qr, the same decision is_singular_matrix makes, so the decision
+    errs toward a larger nullspace.
     """
     a = as_carray(a)
     m, n = a.shape
@@ -195,15 +216,12 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
     if m == 0:
         return CSubspace.full(n)
 
-    r, piv = _lapack().qr(a, mode="r", pivoting=True)
-    rank = _rank(a, r, tol, threshold)
+    rank, (r, piv) = _pivoted_qr(a, tol, threshold)
     if rank == n:
         return CSubspace.zero(n)
     if rank == 0:
         return CSubspace.full(n)
 
-    if not np.isfinite(r[:rank]).all():
-        raise NonFiniteValueError("pivoted QR overflowed; entries are too large for the nullspace")
     # Null vectors in pivoted coordinates: [x; e_j] with R11 x = -R12 e_j.
     x = _lapack().solve_triangular(r[:rank, :rank], -r[:rank, rank:])
     permuted = np.vstack([x, np.eye(n - rank, dtype=np.complex128)])
@@ -214,13 +232,13 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
 
 
 def column_space(a, tol: float = DEFAULT_TOL) -> CSubspace:
-    """Orthonormal basis of the range of A, rank-revealed by pivoted QR (see _rank)."""
+    """Orthonormal basis of the range of A, rank-revealed by pivoted QR (see _pivoted_qr)."""
     a = as_carray(a)
     m, n = a.shape
     if m == 0 or n == 0:
         return CSubspace.zero(m)
-    q, r, _ = _lapack().qr(a, mode="economic", pivoting=True)
-    return CSubspace(m, q[:, : _rank(a, r, tol, None)])
+    rank, (q, _, _) = _pivoted_qr(a, tol, mode="economic")
+    return CSubspace(m, q[:, :rank])
 
 
 def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:
@@ -292,41 +310,24 @@ def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
 
 
 def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
-    """Clustered spectrum of a square matrix; its tol is the cluster tolerance of a."""
+    """Clustered spectrum of a square matrix, from one eig; its tol is the cluster tolerance of a.
+
+    cluster_points never moves a singleton, so each simple cluster's value is
+    one eig value exactly and takes that value's eigenvector column.
+    """
     a = as_carray(a)
     n = _require_square(a, "eigenvalues")
     tol = cluster_tolerance(a, cluster_tol)
     if n == 0:
         return EigenSet((), tol)
     try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return EigenSet(tuple(cluster_points(vals, tol)), tol)
-
-
-def simple_eigenvectors(a, es: EigenSet) -> list[np.ndarray | None]:
-    """Unit eigenvector of each simple cluster of es, from one eig of A.
-
-    Each eigenvalue eig returns goes to its nearest cluster of es; a cluster
-    of multiplicity 1 that receives exactly one of them gets its eigenvector.
-    Every other entry of the list, aligned with es.values, is None.  When es
-    has no simple cluster, eig is not run.
-    """
-    a = as_carray(a)
-    out: list[np.ndarray | None] = [None] * len(es.values)
-    if all(m > 1 for _, m in es.values):
-        return out
-    try:
         vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
-        raise ConvergenceError(f"eigenvector iteration failed: {exc}") from exc
-    nearest = es.distances(vals).argmin(axis=1)
-    received = np.bincount(nearest, minlength=len(es.values))
-    for col, k in enumerate(nearest):
-        if es.values[k][1] == 1 and received[k] == 1:
-            out[k] = vecs[:, col]
-    return out
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    points = vals.tolist()
+    clusters = tuple(cluster_points(points, tol))
+    column = {v: k for k, v in enumerate(points)}
+    return EigenSet(clusters, tol, tuple(vecs[:, column[v]] if m == 1 else None for v, m in clusters))
 
 
 def subspace_sum(u: CSubspace, w: CSubspace, tol: float = DEFAULT_TOL) -> CSubspace:

@@ -49,7 +49,6 @@ from .linalg import (
     cluster_points,
     eigenvalues,
     nullspace,
-    simple_eigenvectors,
     subspace_intersection,
     subspace_sum,
 )
@@ -120,17 +119,14 @@ class SpectrumReport:
         """The eigenspace of each eigenvalue of T, in the order of eigenvalues_of_T.
 
         One distances query per side finds the clusters within tol of each
-        eigenvalue, and so its case.  A side takes its part from one eig of
-        its matrix when exactly one cluster is near and it is simple (see
-        simple_eigenvectors); otherwise modified_eigenspace runs its rank
-        test.  The spaces are made one at a time and not kept.
+        eigenvalue, and so its case.  A side takes its part from the eig
+        vector its EigenSet keeps when exactly one cluster is near and it is
+        simple; otherwise modified_eigenspace runs its rank test.  The spaces
+        are made one at a time and not kept.
         """
         n = self.op.n
         lams = self.eigenvalues_of_T.value_list()
-        sides = [
-            (es.distances(lams) <= es.tol, simple_eigenvectors(t, es))
-            for t, es in ((self.op.t1, self.upsilon1), (self.op.t2, self.upsilon2))
-        ]
+        sides = [(es.distances(lams) <= es.tol, es.vectors) for es in (self.upsilon1, self.upsilon2)]
         for row, lam in enumerate(lams):
             kappa = Bicomplex.from_complex(lam)
             case = _case(*(within[row].any() for within, _ in sides))

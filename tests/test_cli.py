@@ -116,7 +116,7 @@ class TestSpectrum:
         t1, t2 = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
         path = tmp_path / "distinct.json"
         path.write_text(json.dumps({"t1": _matrix_json(t1), "t2": _matrix_json(t2)}))
-        calls = {"eig": 0, "nullspace": 0, "distance": 0}
+        calls = {"eig": 0, "eigvals": 0, "nullspace": 0, "distance": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -126,6 +126,7 @@ class TestSpectrum:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
         nullspace = counted("nullspace", bcspec.linalg.nullspace)
         for module in (bcspec.linalg, bcspec.spectra):
             monkeypatch.setattr(module, "nullspace", nullspace)
@@ -135,7 +136,7 @@ class TestSpectrum:
         )
         code, out, _ = run_cli(capsys, "spectrum", "--input", str(path))
         assert code == 0
-        assert calls == {"eig": 2, "nullspace": 0, "distance": 0}
+        assert calls == {"eig": 2, "eigvals": 0, "nullspace": 0, "distance": 0}
         report = json.loads(out)
         assert sum(e["multiplicity"] for e in report["eigenvalues"]) == 128
         bound = 1e-8 * (1.0 + np.linalg.norm(t1) + np.linalg.norm(t2))

@@ -18,6 +18,7 @@ from bcspec import (
     subspace_intersection,
     subspace_sum,
 )
+from bcspec.core import DEFAULT_TOL
 from bcspec.linalg import cluster_points, cluster_tolerance, frobenius
 from conftest import side_eigenspaces
 
@@ -130,6 +131,42 @@ class TestEigenDecompose:
         assert by_value[2] == (2, 1)
         assert by_value[5] == (1, 1)
 
+    def test_simple_clusters_keep_their_eig_vector(self):
+        # Generic, planted-multiple (unitarily disguised) and defective
+        # (unit-coupling Jordan 2-block) matrices.
+        rng = np.random.default_rng(29)
+        simple = multiple = 0
+        for trial in range(60):
+            n = int(rng.integers(2, 9))
+            kind = trial % 3
+            if kind == 0:
+                a = _complex_gauss(rng, (n, n))
+            else:
+                a = np.diag(_complex_gauss(rng, (n,)))
+                a[1, 1] = a[0, 0]
+                a[0, 1] = 1.0 if kind == 2 else 0.0
+                q, _ = np.linalg.qr(_complex_gauss(rng, (n, n)))
+                a = q @ a @ q.conj().T
+            es = eigenvalues(a)
+            assert len(es.vectors) == len(es.values)
+            for (lam, m), v in zip(es.values, es.vectors):
+                if m > 1:
+                    multiple += 1
+                    assert v is None
+                else:
+                    simple += 1
+                    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+                    assert np.linalg.norm(a @ v - lam * v) <= es.tol
+        assert simple > 0 and multiple > 0
+
+    def test_equality_and_hash_ignore_vectors(self):
+        a = np.diag([1.0, 2.0]).astype(complex)
+        es = eigenvalues(a)
+        bare = EigenSet(es.values, es.tol)
+        assert es.vectors[0] is not None and bare.vectors == (None, None)
+        assert es == bare and hash(es) == hash(bare)
+        assert len({es, bare}) == 1
+
     def test_empty_spectrum_impossible(self):
         # complex matrices always carry at least one eigenvalue
         for n in range(1, 5):
@@ -161,6 +198,9 @@ class TestSingularityAgreement:
         # floor-at-1 convention: a near-zero matrix counts as singular
         assert is_singular_matrix(np.array([[1e-16]]))
         assert nullspace(np.array([[1e-16]])).dim == 1
+        subnormal = np.array([[5e-324, 1e-310], [0, 5e-324]])
+        assert is_singular_matrix(subnormal)
+        assert nullspace(subnormal).dim == 2 and column_space(subnormal).dim == 0
         rng = np.random.default_rng(41)
         a = _complex_gauss(rng, (40, 39)) @ _complex_gauss(rng, (39, 40))
         assert is_singular_matrix(a)
@@ -172,6 +212,33 @@ class TestSingularityAgreement:
         for a in (0.01 * np.eye(6), np.eye(17), 0.1 * np.eye(50), 10.0 * np.eye(200), q):
             assert not is_singular_matrix(a)
             assert nullspace(a).dim == 0
+
+
+#: Entries of the top-of-range CLI fuzz operators (test_cli_fuzz.top), as complex numbers.
+TOP_OF_RANGE = [0, 1, 1j, 1e308, -1e308, 1.7e308, 1e200, 1e308j]
+
+
+class TestRankAtTopOfRange:
+    def test_verdicts_match_a_60_digit_svd(self):
+        # The rank at the documented threshold tol * max(||A||_F, 1) * n, with
+        # the exact Frobenius norm and singular values at 60 digits.  About 40 %
+        # of these matrices have a Frobenius norm beyond the float range.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1500)
+        wrong = []
+        with mpmath.workdps(60):
+            for _ in range(1500):
+                n = int(rng.integers(1, 4))
+                a = np.array(rng.choice(TOP_OF_RANGE, (n, n)), dtype=complex)
+                exact = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in a])
+                fro = mpmath.sqrt(mpmath.fsum(z.real**2 + z.imag**2 for z in exact))
+                threshold = DEFAULT_TOL * max(fro, 1) * n
+                sigma = mpmath.svd_c(exact, compute_uv=False)
+                rank = sum(1 for k in range(n) if sigma[k] > threshold)
+                got = (is_singular_matrix(a), nullspace(a).dim, column_space(a).dim)
+                if got != (rank < n, n - rank, rank):
+                    wrong.append((a.tolist(), got, rank))
+        assert wrong == []
 
 
 def _scan_cluster_points(points, tol_abs):
