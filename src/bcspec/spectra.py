@@ -21,7 +21,8 @@ Terminology, for an operator acting on C2^n:
 The modified spectrum is therefore represented intensionally by (Y1, Y2)
 plus the cylinder rule; it is never materialized.  component_spectra computes
 that analysis once per operator as a SpectrumReport, and every query below
-takes the report.
+takes the report.  Every eigenspace comes from modified_eigenspace, the
+eigenspace of an eigenvalue lambda being that of lambda*e1 + lambda*e2.
 """
 
 from __future__ import annotations
@@ -116,33 +117,13 @@ class SpectrumReport:
         return _case(self.upsilon1.contains(kappa.minus), self.upsilon2.contains(kappa.plus))
 
     def eigenspaces(self) -> Iterator[ModifiedEigenspace]:
-        """The eigenspace of each eigenvalue of T, in the order of eigenvalues_of_T.
+        """The eigenspace of each eigenvalue lambda of T, in the order of eigenvalues_of_T.
 
-        One distances query per side finds the clusters within tol of each
-        eigenvalue, and so its case.  A side takes its part from the eig
-        vector its EigenSet keeps when exactly one cluster is near and it is
-        simple; otherwise modified_eigenspace runs its rank test.  The spaces
-        are made one at a time and not kept.
+        Each is modified_eigenspace of lambda*e1 + lambda*e2; the spaces are
+        made one at a time and not kept.
         """
-        n = self.op.n
-        lams = self.eigenvalues_of_T.value_list()
-        sides = [(es.distances(lams) <= es.tol, es.vectors) for es in (self.upsilon1, self.upsilon2)]
-        for row, lam in enumerate(lams):
-            kappa = Bicomplex.from_complex(lam)
-            case = _case(*(within[row].any() for within, _ in sides))
-            bases = []
-            for within, vectors in sides:
-                near = np.flatnonzero(within[row])
-                if len(near) == 0:
-                    bases.append(CSubspace.zero(n))
-                elif len(near) == 1 and vectors[near[0]] is not None:
-                    bases.append(CSubspace(n, vectors[near[0]][:, None]))
-                else:
-                    bases.append(None)
-            if case is None or None in bases:
-                yield modified_eigenspace(self, kappa)
-            else:
-                yield ModifiedEigenspace(kappa, case, *bases)
+        for lam in self.eigenvalues_of_T.value_list():
+            yield modified_eigenspace(self, Bicomplex.from_complex(lam))
 
     def symbolic(self) -> str:
         """The modified spectrum as a union of two cylinders: (Y1 xe C1) ∪ (C1 xe Y2)."""
@@ -266,32 +247,44 @@ class ModifiedEigenspace:
             raise DimensionMismatchError(f"operator {op.shape} cannot act on a vector of length {n}")
         zero = np.zeros(n, dtype=np.complex128)
         worst = 0.0
-        for u in self.minus_basis.vectors():
-            worst = max(worst, _pair_norm(as_carray(op.t1 @ u - self.kappa.minus * u, ndim=1), zero))
-        for w in self.plus_basis.vectors():
-            worst = max(worst, _pair_norm(zero, as_carray(op.t2 @ w - self.kappa.plus * w, ndim=1)))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: as_carray rejects it
+            for u in self.minus_basis.vectors():
+                worst = max(worst, _pair_norm(as_carray(op.t1 @ u - self.kappa.minus * u, ndim=1), zero))
+            for w in self.plus_basis.vectors():
+                worst = max(worst, _pair_norm(zero, as_carray(op.t2 @ w - self.kappa.plus * w, ndim=1)))
         return worst
+
+
+def _side_space(es: EigenSet, t: np.ndarray, z: complex) -> CSubspace | None:
+    """The eigenspace of z in t, whose spectrum is es; None when no cluster of es is within es.tol.
+
+    The one choice of route: the eig vector es keeps when exactly one cluster
+    is near and it is simple, else the nullspace of t - zI at threshold es.tol.
+    """
+    near = np.flatnonzero(es.distances([z])[0] <= es.tol)
+    if len(near) == 0:
+        return None
+    if len(near) == 1 and es.vectors[near[0]] is not None:
+        return CSubspace(len(t), es.vectors[near[0]][:, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: nullspace rejects it
+        shifted = t - z * np.eye(len(t), dtype=np.complex128)
+    return nullspace(shifted, threshold=es.tol)
 
 
 def modified_eigenspace(report: SpectrumReport, kappa: Bicomplex) -> ModifiedEigenspace:
     """Component eigenspaces of kappa assembled per the case structure.
 
-    Each side's nullspace threshold is its membership tolerance.
+    Each side comes from _side_space, {0} where kappa^- (kappa^+) is not an
+    eigenvalue of t1 (t2); the case says which sides are nonempty.
     """
-    case = report.classify_modified(kappa)
+    op = report.op
+    minus = _side_space(report.upsilon1, op.t1, kappa.minus)
+    plus = _side_space(report.upsilon2, op.t2, kappa.plus)
+    case = _case(minus is not None, plus is not None)
     if case is None:
         raise NotModifiedEigenvalueError(f"{kappa} is not a modified eigenvalue")
-    op = report.op
-    eye = np.eye(op.n, dtype=np.complex128)
-    if case is ModifiedCase.ONLY_PLUS:
-        minus_basis = CSubspace.zero(op.n)
-    else:
-        minus_basis = nullspace(op.t1 - kappa.minus * eye, threshold=report.upsilon1.tol)
-    if case is ModifiedCase.ONLY_MINUS:
-        plus_basis = CSubspace.zero(op.n)
-    else:
-        plus_basis = nullspace(op.t2 - kappa.plus * eye, threshold=report.upsilon2.tol)
-    return ModifiedEigenspace(kappa, case, minus_basis, plus_basis)
+    zero = CSubspace.zero(op.n)
+    return ModifiedEigenspace(kappa, case, zero if minus is None else minus, zero if plus is None else plus)
 
 
 @dataclass(frozen=True)

@@ -344,14 +344,19 @@ class TestStartup:
             ["decompose", "--input", '{"cart":[1,0,1,0]}'],
             ["modified", "--input", simple, "--kappa", '{"idem":[7,0,8,0]}'],
             ["eigenspace", "--input", simple, "--lam", "[7,0]"],
+            # members whose sides are simple take the kept eig vectors
+            ["modified", "--input", simple, "--kappa", '{"idem":[1,0,4,0]}'],
+            ["eigenspace", "--input", simple, "--lam", "[2,0]"],
         ]
+        k = len(no_rank_decision)
         blocked = _guarded("blocked", no_rank_decision)
         normal = _guarded("normal", [*no_rank_decision, ["spectrum", "--input", double]])
-        assert [code for code, _, _ in blocked] == [0] * 5
-        assert [out for _, out, _ in blocked] == [out for _, out, _ in normal[:5]]
+        assert [code for code, _, _ in blocked] == [0] * k
+        assert [out for _, out, _ in blocked] == [out for _, out, _ in normal[:k]]
         # the probe sees scipy arrive with the first rank decision, so its absence above means something
-        assert [loaded for _, _, loaded in normal] == [False] * 5 + [True]
-        code, out, _ = normal[5]
+        assert [loaded for _, _, loaded in normal] == [False] * k + [True]
+        assert [json.loads(out)["dimension"] for _, out, _ in normal[k - 2 : k]] == [2, 1]
+        code, out, _ = normal[k]
         assert code == 0 and json.loads(out)["eigenspaces"][0]["dimension"] == 2
 
 

@@ -6,9 +6,10 @@ size ranges and bad tolerances.  No exception may escape `main`; argparse
 rejections count as exit code 2, and no report may print NaN or infinity.
 Exit code 1 (a verify suite failed) is not an allowed outcome either, so
 verify runs at its default tolerances.  The examples are derandomized, so
-every run draws the same ones.  Operators with entries at the top of the
-float range hold the valid runs to a stricter rule: stderr stays empty on
-exit 0 (no RuntimeWarning) and holds one `error:` line otherwise.
+every run draws the same ones.  Operators, kappas and lams with entries at
+the top of the float range hold the valid runs to a stricter rule: stderr
+stays empty on exit 0 (no RuntimeWarning) and holds one `error:` line
+otherwise.
 """
 
 import contextlib
@@ -155,26 +156,47 @@ def test_verify(nrange, tol, cluster_tol, fmt):
 
 
 top = st.sampled_from([[0, 0], [1, 0], [0, 1], [1e308, 0], [-1e308, 0], [1.7e308, 0], [1e200, 0], [0, 1e308]])
+top_kappa = st.builds(lambda minus, plus: {"idem": minus + plus}, top, top)
+#: command -> flag -> strategy of its drawn value
 QUERIES = {
-    "spectrum": [],
-    "modified": ["--kappa", '{"idem":[0,0,1,0]}'],
-    "eigenspace": ["--lam", "[0,0]"],
-    "decompose": [],
+    "spectrum": {},
+    "modified": {"--kappa": top_kappa},
+    "eigenspace": {"--lam": top},
+    "decompose": {},
+    "explore-sum": {"--kappa": top_kappa, "--kappa2": top_kappa},
 }
 
 
 @st.composite
-def top_of_range_operators(draw):
+def top_of_range_queries(draw):
+    command = draw(st.sampled_from(sorted(QUERIES)))
     n = draw(st.integers(1, 3))
-    return {t: [[draw(top) for _ in range(n)] for _ in range(n)] for t in ("t1", "t2")}
+    op = {t: [[draw(top) for _ in range(n)] for _ in range(n)] for t in ("t1", "t2")}
+    argv = [command, "--input", json.dumps(op)]
+    for flag, values in QUERIES[command].items():
+        argv += [flag, json.dumps(draw(values))]
+    return argv
+
+
+def _spectrum(op) -> list[str]:
+    return ["spectrum", "--input", json.dumps(op)]
 
 
 @settings(FUZZ, max_examples=100)
-@given(st.sampled_from(sorted(QUERIES)), top_of_range_operators())
-@example("spectrum", {"t1": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "t2": [[[0, 0], [1e308, 0]], [[0, 0], [0, 1]]]})
-@example("spectrum", {"t1": [[[-1e308, 0]]], "t2": [[[1.7e308, 0]]]})
-def test_top_of_range(command, op):
-    argv = [command, "--input", json.dumps(op), *QUERIES[command]]
+@given(top_of_range_queries())
+@example(_spectrum({"t1": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "t2": [[[0, 0], [1e308, 0]], [[0, 0], [0, 1]]]}))
+@example(_spectrum({"t1": [[[-1e308, 0]]], "t2": [[[1.7e308, 0]]]}))
+@example(  # t - kappa*I and t u - kappa u overflow in parts, yet the run exits 0
+    [
+        "modified",
+        "--input",
+        '{"t1":[[[0,1e308],[1.7e308,0],[0,1e308]],[[1e308,0],[-1e308,0],[1,0]],[[0,1],[-1e308,0],[1,0]]],'
+        '"t2":[[[1,0],[0,0],[0,1]],[[0,1],[-1e308,0],[-1e308,0]],[[0,1e308],[-1e308,0],[1,0]]]}',
+        "--kappa",
+        '{"idem":[1e308,0,-1e308,-1e308]}',
+    ]
+)
+def test_top_of_range(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")

@@ -7,6 +7,9 @@ and eigenvectors come out exact, so the files do not depend on the BLAS build.
 Regenerate the corpus only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the name of each file whose content changed and leaves the others
+untouched.
 """
 
 from pathlib import Path
@@ -100,5 +103,7 @@ if __name__ == "__main__":
                 code = main(_argv(name, fmt))
             if code != 0:
                 raise SystemExit(f"{name} ({fmt}) exited {code}")
-            _golden(name, fmt).write_text(buf.getvalue())
-    print(f"wrote {2 * len(CASES)} files to {GOLDEN}")
+            path = _golden(name, fmt)
+            if not path.exists() or path.read_text() != buf.getvalue():
+                path.write_text(buf.getvalue())
+                print(path.name)

@@ -23,7 +23,7 @@ from bcspec import (
 import bcspec.linalg
 import bcspec.spectra
 from bcspec.linalg import cluster_tolerance
-from bcspec.oracle import brute_modified_eigenspace, residual
+from bcspec.oracle import PROFILES, Rng, brute_modified_eigenspace, random_operator, residual
 
 
 def _values(eigenset):
@@ -250,7 +250,8 @@ class TestModifiedEigenspace:
 
 
 class TestEigenspaces:
-    """SpectrumReport.eigenspaces: eig vectors for simple clusters, the rank test for the rest."""
+    """One route to every eigenspace: eigenspaces() yields modified_eigenspace of each eigenvalue,
+    whose sides take the kept eig vector of a lone simple cluster and the rank test otherwise."""
 
     @staticmethod
     def _clustered_op():
@@ -262,9 +263,8 @@ class TestEigenspaces:
         t2 = q2 @ np.diag([5, 5, 2, 7, 8, 9, 1 + 1j, -3]) @ q2.conj().T
         return BicomplexOperator(t1, t2)
 
-    def test_rank_test_once_per_multiple_cluster(self, monkeypatch):
-        op = self._clustered_op()
-        report = component_spectra(op)
+    @staticmethod
+    def _count_nullspace(monkeypatch) -> list:
         calls = []
 
         def counted(a, *args, **kwargs):
@@ -272,6 +272,21 @@ class TestEigenspaces:
             return bcspec.linalg.nullspace(a, *args, **kwargs)
 
         monkeypatch.setattr(bcspec.spectra, "nullspace", counted)
+        return calls
+
+    @staticmethod
+    def _seeded_ops():
+        """Operators of every oracle profile, n = 1-8."""
+        return [
+            random_operator(Rng(12, (trial,)), 1 + trial % 8, profile).operator
+            for profile in PROFILES
+            for trial in range(8)
+        ]
+
+    def test_rank_test_once_per_multiple_cluster(self, monkeypatch):
+        op = self._clustered_op()
+        report = component_spectra(op)
+        calls = self._count_nullspace(monkeypatch)
         spaces = list(report.eigenspaces())
         assert [m for _, m in report.eigenvalues_of_T.values if m > 1] == [3, 2, 2]
         side_multiples = [m for es in (report.upsilon1, report.upsilon2) for _, m in es.values if m > 1]
@@ -284,6 +299,42 @@ class TestEigenspaces:
             assert space.dim == brute_modified_eigenspace(op, kappa).dim
             assert space.case is report.classify_modified(kappa)
             assert space.max_residual(op) <= 1e-8 * op.scale_norm()
+
+    def test_each_space_is_the_modified_eigenspace_of_its_eigenvalue(self, ex_op):
+        for op in [*self._seeded_ops(), self._clustered_op(), ex_op]:
+            report = component_spectra(op)
+            for lam, space in zip(report.eigenvalues_of_T.value_list(), report.eigenspaces()):
+                direct = modified_eigenspace(report, Bicomplex.from_complex(lam))
+                assert space.case is direct.case
+                for got, want in ((space.minus_basis, direct.minus_basis), (space.plus_basis, direct.plus_basis)):
+                    assert got.basis.shape == want.basis.shape
+                    assert got.basis.tobytes() == want.basis.tobytes()
+
+    def test_simple_sides_take_no_rank_test(self, monkeypatch):
+        report = component_spectra(self._clustered_op())
+        calls = self._count_nullspace(monkeypatch)
+        # 2 is simple on both sides; 3, 6j (t1) and 7, -3 (t2) are simple on theirs
+        for kappa in (Bicomplex(2, 2), Bicomplex(3, 7), Bicomplex(6j, -3)):
+            space = modified_eigenspace(report, kappa)
+            assert space.case is ModifiedCase.BOTH and space.dim == 2
+        assert calls == []
+
+    def test_half_a_tolerance_off_a_simple_eigenvalue(self):
+        # a member must get its eigenvector, with residual within the side's tol,
+        # where the rank test at that tol may find t - zI nonsingular
+        checked = 0
+        for op in self._seeded_ops():
+            report = component_spectra(op)
+            es = report.upsilon1
+            for lam, m in es.values:
+                z = lam + es.tol / 2
+                if m > 1 or np.count_nonzero(es.distances([z]) <= es.tol) != 1:
+                    continue
+                space = modified_eigenspace(report, Bicomplex(z, 1e9))
+                assert space.case is ModifiedCase.ONLY_MINUS and space.dim == 1
+                assert space.max_residual(op) <= es.tol
+                checked += 1
+        assert checked > 50
 
     def test_is_a_generator(self, ex_op):
         spaces = component_spectra(ex_op).eigenspaces()
