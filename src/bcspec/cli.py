@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import jsonio
 from .core import DEFAULT_TOL, Bicomplex
-from .errors import BcspecError, ConvergenceError, NonFiniteValueError, ParseError
+from .errors import BcspecError, ConvergenceError, NonFiniteValueError, NotModifiedEigenvalueError, ParseError
 from .linalg import DEFAULT_CLUSTER_TOL
 from .operators import BicomplexMatrix, BicomplexOperator, classify_vector, is_singular_operator
 from .spectra import component_spectra, eigenspace_sum, modified_eigenspace
@@ -194,18 +194,16 @@ def _cmd_spectrum(args) -> int:
 
 
 def _space_report(spectra, kappa: Bicomplex, tol: float) -> dict:
-    case = spectra.classify_modified(kappa)
-    out: dict = {
-        "kappa": jsonio.scalar_to_json(kappa),
-        "is_modified_eigenvalue": case is not None,
-        "case": case.value if case else None,
-    }
-    if case is None:
-        out["verdict"] = "not a modified eigenvalue"
+    out: dict = {"kappa": jsonio.scalar_to_json(kappa)}
+    try:
+        space = modified_eigenspace(spectra, kappa)
+    except NotModifiedEigenvalueError:
+        out.update({"is_modified_eigenvalue": False, "case": None, "verdict": "not a modified eigenvalue"})
         return out
-    space = modified_eigenspace(spectra, kappa)
     out.update(
         {
+            "is_modified_eigenvalue": True,
+            "case": space.case.value,
             "dimension": space.dim,
             "dim_minus": space.minus_basis.dim,
             "dim_plus": space.plus_basis.dim,

@@ -4,11 +4,9 @@ Everything the componentwise bicomplex computations need: one rank
 decision behind singularity tests, nullspaces and column spaces, an
 eigensolver with multiplicity clustering that keeps the eigenvector of each
 simple eigenvalue, and subspace sum/intersection arithmetic.  Factorizations
-are delegated to LAPACK: column-pivoted QR of the matrix scaled by a power
-of two for rank decisions (see _pivoted_qr), and one eig per matrix for its
-eigenvalues and eigenvectors.  The QR routines are imported on the first
-rank decision (see _lapack), so a command that makes none never pays for
-that import.
+are numpy's LAPACK calls: one SVD of the matrix scaled by a power of two
+for each rank decision (see _svd), and one eig per matrix for its
+eigenvalues and eigenvectors.
 """
 
 from __future__ import annotations
@@ -140,14 +138,8 @@ class EigenSet:
             out.extend([v] * m)
         return out
 
-    def distance(self, lam) -> float:
-        lam = complex(lam)
-        if not self.values:
-            return math.inf
-        return min(abs(lam - v) for v, _ in self.values)
-
     def distances(self, points) -> np.ndarray:
-        """|z - v| for each point z (rows) and cluster v (columns), as distance computes it.
+        """|z - v| for each point z (rows) and cluster v (columns).
 
         np.hypot equals Python's abs bit for bit where finite (np.abs does not),
         and gives inf where abs raises OverflowError.
@@ -157,57 +149,53 @@ class EigenSet:
             return np.hypot(d.real, d.imag)
 
     def contains(self, lam) -> bool:
-        """Membership within tol; a tie at the boundary is a member."""
-        return self.distance(lam) <= self.tol
+        """Membership within tol, one row of distances; a tie at the boundary is a member."""
+        return bool((self.distances([lam])[0] <= self.tol).any())
 
 
-def _lapack():
-    """scipy.linalg, imported on first use: the one place this package loads scipy."""
-    import scipy.linalg
-
-    return scipy.linalg
-
-
-def _pivoted_qr(a: np.ndarray, tol: float, threshold: float | None = None, mode: str = "r"):
-    """Rank of A and the column-pivoted QR factors of s*A, with s = 2**-e.
+def _svd(a: np.ndarray, tol: float, threshold: float | None = None, vectors: bool = False):
+    """Rank of A and the SVD of s*A, with s = 2**-e: its singular values, or with vectors (u, sigma, vh).
 
     e is the exponent of A's largest real or imaginary part, so no part of
-    s*A reaches 1 and its factors cannot overflow; a power-of-two scale is
-    exact.  e is at least that of the smallest normal number, so s stays
-    finite when every entry is subnormal.  Diagonal entries of R at or below
+    s*A reaches 1 and no singular value or norm can overflow; a power-of-two
+    scale is exact.  e is at least that of the smallest normal number, so s
+    stays finite when every entry is subnormal.  Singular values at or below
     the threshold, scaled alike, count as zero, so a tie errs toward rank
     deficiency.  The default threshold tol * max(||A||_F, 1) * max(rows, cols)
     is computed as tol * max(||sA||_F, s) * max(rows, cols); the floor at 1
-    keeps near-zero matrices consistent with the scalar classifier.  A must
-    be non-empty.
+    keeps near-zero matrices consistent with the scalar classifier.  u and vh
+    are square.  A must be non-empty.
     """
     big = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
     s = math.ldexp(1.0, -max(math.frexp(big)[1], -1021))
     a = a * s
-    # as_carray has rejected non-finite entries, and the scale keeps them finite.
-    factors = _lapack().qr(a, mode=mode, pivoting=True, check_finite=False)
+    try:
+        factors = np.linalg.svd(a, compute_uv=vectors)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
     if threshold is None:
         threshold = tol * max(frobenius(a), s) * max(a.shape)
     else:
         threshold = s * threshold
-    return int(np.count_nonzero(np.abs(np.diag(factors[-2])) > threshold)), factors
+    sigma = factors[1] if vectors else factors
+    return int(np.count_nonzero(sigma > threshold)), factors
 
 
 def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the rank of the square matrix A is below its size (see _pivoted_qr)."""
+    """True iff the rank of the square matrix A is below its size (see _svd)."""
     a = as_carray(a)
     n = _require_square(a, "is_singular_matrix")
     if n == 0:
         return False
-    return _pivoted_qr(a, tol)[0] < n
+    return _svd(a, tol)[0] < n
 
 
 def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CSubspace:
-    """Orthonormal basis of {v : A v ≈ 0}.
+    """Orthonormal basis of {v : A v ≈ 0}: the trailing right singular vectors.
 
-    Rank is decided by column-pivoted QR at the threshold described in
-    _pivoted_qr, the same decision is_singular_matrix makes, so the decision
-    errs toward a larger nullspace.
+    Rank is decided by the singular values at the threshold described in
+    _svd, the same decision is_singular_matrix makes, so the decision errs
+    toward a larger nullspace.
     """
     a = as_carray(a)
     m, n = a.shape
@@ -216,29 +204,22 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
     if m == 0:
         return CSubspace.full(n)
 
-    rank, (r, piv) = _pivoted_qr(a, tol, threshold)
+    rank, (_, _, vh) = _svd(a, tol, threshold, vectors=True)
     if rank == n:
         return CSubspace.zero(n)
     if rank == 0:
         return CSubspace.full(n)
-
-    # Null vectors in pivoted coordinates: [x; e_j] with R11 x = -R12 e_j.
-    x = _lapack().solve_triangular(r[:rank, :rank], -r[:rank, rank:])
-    permuted = np.vstack([x, np.eye(n - rank, dtype=np.complex128)])
-    basis = np.zeros((n, n - rank), dtype=np.complex128)
-    basis[piv, :] = permuted
-    ortho, _ = np.linalg.qr(basis)
-    return CSubspace(n, ortho)
+    return CSubspace(n, vh[rank:].conj().T)
 
 
 def column_space(a, tol: float = DEFAULT_TOL) -> CSubspace:
-    """Orthonormal basis of the range of A, rank-revealed by pivoted QR (see _pivoted_qr)."""
+    """Orthonormal basis of the range of A: the leading left singular vectors (see _svd)."""
     a = as_carray(a)
     m, n = a.shape
     if m == 0 or n == 0:
         return CSubspace.zero(m)
-    rank, (q, _, _) = _pivoted_qr(a, tol, mode="economic")
-    return CSubspace(m, q[:, :rank])
+    rank, (u, _, _) = _svd(a, tol, vectors=True)
+    return CSubspace(m, u[:, :rank])
 
 
 def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:

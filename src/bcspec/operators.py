@@ -248,7 +248,7 @@ def assemble_pair_basis(pair: tuple[CSubspace, CSubspace]) -> list[BicomplexVect
 def is_singular_operator(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> bool:
     """True iff t1 or t2 is singular (equivalently, the kernel is nontrivial).
 
-    Each component is decided by the pivoted-QR rank test that kernel uses,
+    Each component is decided by the SVD rank test that kernel uses,
     at the same threshold, so the verdict agrees with kernel(op, tol).
     """
     if not op.is_square:

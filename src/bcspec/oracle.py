@@ -110,7 +110,7 @@ def residual(op: BicomplexOperator, kappa, v: BicomplexVector) -> float:
 def elimination_nullspace(a, threshold: float) -> np.ndarray:
     """Nullspace basis (columns) by Gauss-Jordan elimination with partial pivoting.
 
-    Kept separate from the pivoted-QR route on purpose; pivots at or below
+    Kept separate from the SVD rank route on purpose; pivots at or below
     the absolute threshold count as zero.
     """
     a = np.array(a, dtype=np.complex128)
@@ -140,7 +140,7 @@ def elimination_nullspace(a, threshold: float) -> np.ndarray:
 
 
 def _gram_schmidt(columns: np.ndarray) -> np.ndarray:
-    """Local modified Gram-Schmidt; the QR route stays out of the oracle."""
+    """Local modified Gram-Schmidt; the primary path's SVD and QR stay out of the oracle."""
     n, k = columns.shape
     out = np.zeros((n, k), dtype=np.complex128)
     kept = 0

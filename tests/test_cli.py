@@ -116,7 +116,7 @@ class TestSpectrum:
         t1, t2 = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
         path = tmp_path / "distinct.json"
         path.write_text(json.dumps({"t1": _matrix_json(t1), "t2": _matrix_json(t2)}))
-        calls = {"eig": 0, "eigvals": 0, "nullspace": 0, "distance": 0}
+        calls = {"eig": 0, "eigvals": 0, "nullspace": 0, "contains": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -130,13 +130,13 @@ class TestSpectrum:
         nullspace = counted("nullspace", bcspec.linalg.nullspace)
         for module in (bcspec.linalg, bcspec.spectra):
             monkeypatch.setattr(module, "nullspace", nullspace)
-        # Membership goes through one distances query per side, not the scalar distance.
+        # Membership goes through one distances query per side, not a contains per point.
         monkeypatch.setattr(
-            bcspec.linalg.EigenSet, "distance", counted("distance", bcspec.linalg.EigenSet.distance)
+            bcspec.linalg.EigenSet, "contains", counted("contains", bcspec.linalg.EigenSet.contains)
         )
         code, out, _ = run_cli(capsys, "spectrum", "--input", str(path))
         assert code == 0
-        assert calls == {"eig": 2, "eigvals": 0, "nullspace": 0, "distance": 0}
+        assert calls == {"eig": 2, "eigvals": 0, "nullspace": 0, "contains": 0}
         report = json.loads(out)
         assert sum(e["multiplicity"] for e in report["eigenvalues"]) == 128
         bound = 1e-8 * (1.0 + np.linalg.norm(t1) + np.linalg.norm(t2))
@@ -182,6 +182,22 @@ class TestModified:
         assert code == 0
         assert report["is_modified_eigenvalue"] is False
         assert report["case"] is None
+
+    def test_each_side_is_decided_once_at_the_top_of_the_range(self, capsys):
+        # kappa^- = 1.7e308j is farther from the eigenvalue 1.7e308 of t1 than the
+        # float range reaches, so its distance is inf and the minus side is a
+        # non-member, in modified and in explore-sum alike.
+        op = {"t1": [[[1.7e308, 0], [0, 0]], [[0, 0], [1, 0]]], "t2": [[[2, 0], [0, 0]], [[0, 0], [3, 0]]]}
+        kappa = '{"idem":[0,1.7e308,2,0]}'
+        code, out, err = run_cli(capsys, "modified", "--input", json.dumps(op), "--kappa", kappa)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["case"], report["dim_minus"], report["dim_plus"]) == ("OnlyPlus", 0, 1)
+        code, out, err = run_cli(
+            capsys, "explore-sum", "--input", json.dumps(op), "--kappa", kappa, "--kappa2", '{"idem":[1,0,3,0]}'
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dim_first"] == 1
 
 
 class TestEigenspace:
@@ -335,29 +351,37 @@ def _guarded(mode: str, commands: list[list[str]]) -> list:
 
 
 class TestStartup:
-    def test_scipy_is_loaded_only_for_a_rank_decision(self):
+    def test_no_command_loads_scipy(self):
         simple = json.dumps({"t1": [[[1, 0], [5, 0]], [[0, 0], [2, 0]]], "t2": [[[3, 0], [0, 0]], [[1, 0], [4, 0]]]})
         double = json.dumps({"t1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "t2": [[[3, 0], [0, 0]], [[0, 0], [4, 0]]]})
-        no_rank_decision = [
+        commands = [
             ["--help"],
             ["spectrum", "--input", simple],
             ["decompose", "--input", '{"cart":[1,0,1,0]}'],
             ["modified", "--input", simple, "--kappa", '{"idem":[7,0,8,0]}'],
             ["eigenspace", "--input", simple, "--lam", "[7,0]"],
-            # members whose sides are simple take the kept eig vectors
             ["modified", "--input", simple, "--kappa", '{"idem":[1,0,4,0]}'],
             ["eigenspace", "--input", simple, "--lam", "[2,0]"],
+            # each of these makes a rank decision
+            ["spectrum", "--input", double],
+            ["decompose", "--input", double],
+            ["eigenspace", "--input", double, "--lam", "[1,0]"],
+            ["explore-sum", "--input", double, "--kappa", '{"idem":[1,0,3,0]}', "--kappa2", '{"idem":[1,0,4,0]}'],
+            ["verify", "--trials", "2"],
         ]
-        k = len(no_rank_decision)
-        blocked = _guarded("blocked", no_rank_decision)
-        normal = _guarded("normal", [*no_rank_decision, ["spectrum", "--input", double]])
-        assert [code for code, _, _ in blocked] == [0] * k
-        assert [out for _, out, _ in blocked] == [out for _, out, _ in normal[:k]]
-        # the probe sees scipy arrive with the first rank decision, so its absence above means something
-        assert [loaded for _, _, loaded in normal] == [False] * k + [True]
-        assert [json.loads(out)["dimension"] for _, out, _ in normal[k - 2 : k]] == [2, 1]
-        code, out, _ = normal[k]
-        assert code == 0 and json.loads(out)["eigenspaces"][0]["dimension"] == 2
+        blocked = _guarded("blocked", commands)
+        normal = _guarded("normal", commands)
+        assert [code for code, _, _ in blocked] == [0] * len(commands)
+        assert [out for _, out, _ in blocked] == [out for _, out, _ in normal]
+        assert [loaded for _, _, loaded in blocked + normal] == [False] * (2 * len(commands))
+        assert [json.loads(out)["dimension"] for _, out, _ in normal[5:7]] == [2, 1]
+        assert json.loads(normal[7][1])["eigenspaces"][0]["dimension"] == 2
+        assert json.loads(normal[9][1])["dimension"] == 2
+
+    def test_numpy_is_the_only_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text())["project"]
+        assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 class TestErrorHandling:

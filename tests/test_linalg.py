@@ -241,6 +241,52 @@ class TestRankAtTopOfRange:
         assert wrong == []
 
 
+def _kahan(n: int, theta: float) -> np.ndarray:
+    """Kahan's matrix diag(s**k) (I - c * strict upper ones), s = sin(theta), c = cos(theta).
+
+    Its columns all have norm 1, so column pivoting keeps their order, and the
+    smallest diagonal entry of R, s**(n-1), hides a far smaller sigma_min.
+    """
+    s, c = math.sin(theta), math.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+class TestKahan:
+    def test_rank_deficiency_is_revealed(self):
+        # sigma_min is 3.5e-10 (n = 60) and 4.0e-15 (n = 90), below the thresholds
+        # 4.6e-8 and 8.5e-8; s**(n-1) is 1.6e-2 and 1.9e-3.
+        for n in (60, 90):
+            k = _kahan(n, 1.2)
+            assert nullspace(k).dim == 1
+            assert is_singular_matrix(k)
+            assert column_space(k).dim == n - 1
+
+    def test_verdicts_match_a_50_digit_svd(self):
+        # Kahan matrices with n <= 12 and power-of-two copies of them, whose
+        # singular values and Frobenius norm scale exactly; 2**1023 takes the
+        # norm beyond the float range, 2**-30 below the floor at 1.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(12)
+        wrong, deficient = [], 0
+        with mpmath.workdps(50):
+            for _ in range(60):
+                n = int(rng.integers(2, 13))
+                k = _kahan(n, float(rng.uniform(0.1, 1.4)))
+                exact = mpmath.matrix(k.tolist())
+                sigma = mpmath.svd_r(exact, compute_uv=False)
+                fro = mpmath.sqrt(mpmath.fsum(x**2 for x in k.ravel().tolist()))
+                for e in (0, -30, -1, 600, 1023):
+                    a = np.ldexp(k, e)
+                    threshold = DEFAULT_TOL * max(mpmath.ldexp(fro, e), 1) * n
+                    rank = sum(1 for x in sigma if mpmath.ldexp(x, e) > threshold)
+                    got = (is_singular_matrix(a), nullspace(a).dim, column_space(a).dim)
+                    if got != (rank < n, n - rank, rank):
+                        wrong.append((n, e, got, rank))
+                    deficient += rank < n
+        assert wrong == []
+        assert deficient >= 30
+
+
 def _scan_cluster_points(points, tol_abs):
     """The O(k^3) closest-pair scan cluster_points replaces, kept as its reference."""
     clusters = [[complex(p), 1] for p in points]
