@@ -244,7 +244,7 @@ class TestRankAtTopOfRange:
 def _kahan(n: int, theta: float) -> np.ndarray:
     """Kahan's matrix diag(s**k) (I - c * strict upper ones), s = sin(theta), c = cos(theta).
 
-    Its columns all have norm 1, so column pivoting keeps their order, and the
+    Its columns all have norm 1, so column pivoting leaves their order alone, and the
     smallest diagonal entry of R, s**(n-1), hides a far smaller sigma_min.
     """
     s, c = math.sin(theta), math.cos(theta)
@@ -274,7 +274,7 @@ class TestKahan:
                 k = _kahan(n, float(rng.uniform(0.1, 1.4)))
                 exact = mpmath.matrix(k.tolist())
                 sigma = mpmath.svd_r(exact, compute_uv=False)
-                fro = mpmath.sqrt(mpmath.fsum(x**2 for x in k.ravel().tolist()))
+                fro = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in k.ravel().tolist()))
                 for e in (0, -30, -1, 600, 1023):
                     a = np.ldexp(k, e)
                     threshold = DEFAULT_TOL * max(mpmath.ldexp(fro, e), 1) * n
