@@ -6,7 +6,9 @@ eigensolver with multiplicity clustering that keeps the eigenvector of each
 simple eigenvalue, and subspace sum/intersection arithmetic.  Factorizations
 are numpy's LAPACK calls: one SVD of the matrix scaled by a power of two
 for each rank decision (see _svd), and one eig per matrix for its
-eigenvalues and eigenvectors.
+eigenvalues and eigenvectors.  Every norm and tolerance goes through the
+same exact power-of-two scale (see _scaled), so none overflows while its
+true value is finite.
 """
 
 from __future__ import annotations
@@ -37,16 +39,23 @@ def as_carray(a, ndim: int = 2) -> np.ndarray:
     return arr
 
 
-def frobenius(a) -> float:
-    """Frobenius norm; when the sum of squares overflows, finite entries are rescaled first."""
+def _scaled(a) -> tuple[np.ndarray, float]:
+    """(s*A, s) with s = 2**-e, e the exponent of A's largest real or imaginary part and at least -1021.
+
+    No part of s*A reaches 1, so no norm or singular value of s*A overflows,
+    and scaling by a power of two is exact; the floor keeps s finite when
+    every entry is subnormal.  An empty or zero A has s = 1.
+    """
     a = np.asarray(a)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if math.isinf(norm):
-        scale = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
-        if math.isfinite(scale):
-            norm = scale * float(np.linalg.norm(a / scale))
-    return norm
+    big = max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
+    s = math.ldexp(1.0, -max(math.frexp(big)[1], -1021))
+    return a * s, s
+
+
+def frobenius(a) -> float:
+    """Frobenius norm, as ||sA||_F / s (see _scaled): inf only when the norm itself exceeds float range."""
+    a, s = _scaled(a)
+    return float(np.linalg.norm(a)) / s
 
 
 def _require_square(a: np.ndarray, op: str) -> int:
@@ -96,13 +105,6 @@ class CSubspace:
             return True
         return float(np.linalg.norm(v - self.project(v))) <= rel_tol * nv
 
-    def gram_defect(self) -> float:
-        """Deviation of the basis Gram matrix from the identity."""
-        if self.dim == 0:
-            return 0.0
-        g = self.basis.conj().T @ self.basis
-        return float(np.linalg.norm(g - np.eye(self.dim)))
-
 
 @dataclass(frozen=True)
 class EigenSet:
@@ -123,10 +125,6 @@ class EigenSet:
     def __post_init__(self):
         if not self.vectors:
             object.__setattr__(self, "vectors", (None,) * len(self.values))
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.values)
 
     def value_list(self) -> list[complex]:
         return [v for v, _ in self.values]
@@ -154,27 +152,22 @@ class EigenSet:
 
 
 def _svd(a: np.ndarray, tol: float, threshold: float | None = None, vectors: bool = False):
-    """Rank of A and the SVD of s*A, with s = 2**-e: its singular values, or with vectors (u, sigma, vh).
+    """Rank of A and the SVD of s*A (see _scaled): its singular values, or with vectors (u, sigma, vh).
 
-    e is the exponent of A's largest real or imaginary part, so no part of
-    s*A reaches 1 and no singular value or norm can overflow; a power-of-two
-    scale is exact.  e is at least that of the smallest normal number, so s
-    stays finite when every entry is subnormal.  Singular values at or below
-    the threshold, scaled alike, count as zero, so a tie errs toward rank
-    deficiency.  The default threshold tol * max(||A||_F, 1) * max(rows, cols)
-    is computed as tol * max(||sA||_F, s) * max(rows, cols); the floor at 1
-    keeps near-zero matrices consistent with the scalar classifier.  u and vh
-    are square.  A must be non-empty.
+    Singular values at or below the threshold, scaled alike, count as zero,
+    so a tie errs toward rank deficiency.  The default threshold
+    tol * max(||A||_F, 1) * max(rows, cols) is computed as
+    tol * max(||sA||_F, s) * max(rows, cols); the floor at 1 keeps near-zero
+    matrices consistent with the scalar classifier.  u and vh are square.
+    A must be non-empty.
     """
-    big = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
-    s = math.ldexp(1.0, -max(math.frexp(big)[1], -1021))
-    a = a * s
+    a, s = _scaled(a)
     try:
         factors = np.linalg.svd(a, compute_uv=vectors)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
     if threshold is None:
-        threshold = tol * max(frobenius(a), s) * max(a.shape)
+        threshold = tol * max(float(np.linalg.norm(a)), s) * max(a.shape)
     else:
         threshold = s * threshold
     sigma = factors[1] if vectors else factors
@@ -286,8 +279,13 @@ def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:
 
 
 def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
-    """Absolute clustering/membership tolerance for a matrix: tol * (1 + ||A||_F)."""
-    return cluster_tol * (1.0 + frobenius(a))
+    """Absolute clustering/membership tolerance for a matrix: tol * (1 + ||A||_F).
+
+    Computed as tol * (s + ||sA||_F) / s (see _scaled), so it is finite
+    whenever its true value is: at the default tol, for every finite A.
+    """
+    a, s = _scaled(a)
+    return cluster_tol * (s + float(np.linalg.norm(a))) / s
 
 
 def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:

@@ -28,15 +28,6 @@ class VectorClass(Enum):
     NONSINGULAR = "NonSingular"
 
 
-def _pair_norm(minus: np.ndarray, plus: np.ndarray) -> float:
-    """Euclidean norm of the two complex vectors stacked end to end."""
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.linalg.norm(minus) ** 2 + np.linalg.norm(plus) ** 2))
-    if math.isinf(norm):  # squares beyond float range: rescale
-        norm = frobenius(np.concatenate([minus, plus]))
-    return norm
-
-
 @dataclass(eq=False)
 class BicomplexVector:
     """Element of C2^n as the pair of its idempotent component vectors."""
@@ -77,7 +68,7 @@ class BicomplexVector:
 
     def norm(self) -> float:
         """Euclidean norm of the concatenated component vectors."""
-        return _pair_norm(self.minus, self.plus)
+        return math.hypot(frobenius(self.minus), frobenius(self.plus))
 
     def is_exact_zero(self) -> bool:
         return not (np.any(self.minus) or np.any(self.plus))
@@ -183,7 +174,7 @@ class BicomplexOperator:
 
     def scale_norm(self) -> float:
         """1 + ||t1||_F + ||t2||_F; the scale used by residual and membership bounds."""
-        return 1.0 + float(np.linalg.norm(self.t1)) + float(np.linalg.norm(self.t2))
+        return 1.0 + frobenius(self.t1) + frobenius(self.t2)
 
 
 def apply(op: BicomplexOperator, v: BicomplexVector) -> BicomplexVector:
@@ -191,27 +182,6 @@ def apply(op: BicomplexOperator, v: BicomplexVector) -> BicomplexVector:
     if op.shape[1] != v.n:
         raise DimensionMismatchError(f"operator {op.shape} cannot act on a vector of length {v.n}")
     return BicomplexVector(op.t1 @ v.minus, op.t2 @ v.plus)
-
-
-def operator_add(a: BicomplexOperator, b: BicomplexOperator) -> BicomplexOperator:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"operator shapes differ: {a.shape} vs {b.shape}")
-    return BicomplexOperator(a.t1 + b.t1, a.t2 + b.t2)
-
-
-def operator_neg(a: BicomplexOperator) -> BicomplexOperator:
-    return BicomplexOperator(-a.t1, -a.t2)
-
-
-def operator_scale(alpha, op: BicomplexOperator) -> BicomplexOperator:
-    """Scale by a complex number (acts identically on both components)."""
-    alpha = complex(alpha)
-    return BicomplexOperator(alpha * op.t1, alpha * op.t2)
-
-
-def operator_scale_bc(eta: Bicomplex, op: BicomplexOperator) -> BicomplexOperator:
-    """Scale by a bicomplex number: eta*T = e1*(eta^- T1) + e2*(eta^+ T2)."""
-    return BicomplexOperator(eta.minus * op.t1, eta.plus * op.t2)
 
 
 def shift(op: BicomplexOperator, kappa) -> BicomplexOperator:

@@ -49,11 +49,12 @@ from .linalg import (
     as_carray,
     cluster_points,
     eigenvalues,
+    frobenius,
     nullspace,
     subspace_intersection,
     subspace_sum,
 )
-from .operators import BicomplexOperator, BicomplexVector, _pair_norm, assemble_pair_basis
+from .operators import BicomplexOperator, BicomplexVector, assemble_pair_basis
 
 
 class ModifiedCase(Enum):
@@ -240,18 +241,17 @@ class ModifiedEigenspace:
         return self.case is not ModifiedCase.BOTH
 
     def max_residual(self, op: BicomplexOperator) -> float:
-        """Largest ||T v - kappa v|| over the assembled basis, each v = e1*u or e2*u taken on its
-        own side: t u - kappa^± u next to exact zeros, normed as BicomplexVector.norm."""
+        """Largest ||T v - kappa v|| over the assembled basis; for v = e1*u (e2*u) that is the
+        frobenius norm of the one nonzero side, t u - kappa^± u."""
         n = self.minus_basis.ambient_dim
         if op.shape[1] != n:
             raise DimensionMismatchError(f"operator {op.shape} cannot act on a vector of length {n}")
-        zero = np.zeros(n, dtype=np.complex128)
         worst = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: as_carray rejects it
             for u in self.minus_basis.vectors():
-                worst = max(worst, _pair_norm(as_carray(op.t1 @ u - self.kappa.minus * u, ndim=1), zero))
+                worst = max(worst, frobenius(as_carray(op.t1 @ u - self.kappa.minus * u, ndim=1)))
             for w in self.plus_basis.vectors():
-                worst = max(worst, _pair_norm(zero, as_carray(op.t2 @ w - self.kappa.plus * w, ndim=1)))
+                worst = max(worst, frobenius(as_carray(op.t2 @ w - self.kappa.plus * w, ndim=1)))
         return worst
 
 

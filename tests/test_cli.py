@@ -29,6 +29,14 @@ def op_file(tmp_path):
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+# t1 = diag(1.7e308, -1.7e308, 1), whose Frobenius norm is beyond float range, and t2 = diag(1, 2, 3)
+TOP_OF_RANGE_OP = json.dumps(
+    {
+        "t1": [[[1.7e308, 0], [0, 0], [0, 0]], [[0, 0], [-1.7e308, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]],
+        "t2": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [2, 0], [0, 0]], [[0, 0], [0, 0], [3, 0]]],
+    }
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -549,13 +557,63 @@ class TestOutputModes:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_non_finite_report_exit_2(self, capsys, fmt):
-        # ||t1||_F is beyond float range, so Y1 is one cluster whose eigenspace
-        # holds e2, and ||t1 e2|| is beyond float range too
-        op = '{"t1":[[[1.7e308,0],[1.7e308,0]],[[0,0],[-1.7e308,0]]],"t2":[[[1,0],[0,0]],[[0,0],[2,0]]]}'
-        code, out, err = run_cli(capsys, "spectrum", "--input", op, "--format", fmt)
+        # At cluster_tol 1 the tolerance of t1, 1 + ||t1||_F, is beyond float
+        # range, so both eigenvalues of t1 are one cluster whose eigenspace is
+        # all of C^2; the residual of e1 is the column (1.7e308, 1.7e308), whose
+        # norm is beyond float range too.
+        op = '{"t1":[[[1.7e308,0],[0,0]],[[1.7e308,0],[0,0]]],"t2":[[[1,0],[0,0]],[[0,0],[2,0]]]}'
+        code, out, err = run_cli(
+            capsys, "modified", "--input", op, "--kappa", '{"idem":[0,0,7,0]}', "--cluster-tol", "1", "--format", fmt
+        )
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: report holds a non-finite number"]
+
+    def test_top_of_range_side_keeps_its_eigenvalues(self, capsys):
+        # ||t1||_F is beyond float range, but its tolerance 1e-8 * (1 + ||t1||_F) is not
+        op = '{"t1":[[[1.7e308,0],[1.7e308,0]],[[0,0],[-1.7e308,0]]],"t2":[[[1,0],[0,0]],[[0,0],[1,0]]]}'
+        code, out, err = run_cli(capsys, "spectrum", "--input", op)
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=self._reject)
+        assert report["upsilon1"] == [
+            {"multiplicity": 1, "value": [-1.7e308, 0.0]},
+            {"multiplicity": 1, "value": [1.7e308, 0.0]},
+        ]
+        assert [(e["value"][0], e["multiplicity"]) for e in report["eigenvalues"]] == [
+            (-1.7e308, 1),
+            (1.0, 2),
+            (1.7e308, 1),
+        ]
+        assert [e["max_residual"] for e in report["eigenspaces"]] == [0.0, 0.0, 0.0]
+
+    def test_modified_at_the_top_of_the_range_is_one_eigenvector(self, capsys):
+        code, out, err = run_cli(capsys, "modified", "--input", TOP_OF_RANGE_OP, "--kappa", '{"idem":[5,0,7,0]}')
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=self._reject)
+        assert (report["case"], report["dimension"]) == ("OnlyMinus", 1)
+        assert report["max_residual"] == 4.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1, problem 2: the union of Y1 and Y2 is clustered at the larger side's tolerance",
+    )
+    @pytest.mark.parametrize(
+        "op, union",
+        [
+            (TOP_OF_RANGE_OP, [(-1.7e308, 1), (1.0, 2), (2.0, 1), (3.0, 1), (1.7e308, 1)]),
+            (
+                '{"t1":[[[1.7e308,0],[1.7e308,0]],[[0,0],[-1.7e308,0]]],"t2":[[[1,0],[0,0]],[[0,0],[2,0]]]}',
+                [(-1.7e308, 1), (1.0, 1), (2.0, 1), (1.7e308, 1)],
+            ),
+        ],
+        ids=["diagonal", "triangular"],
+    )
+    def test_union_keeps_each_side_apart_at_the_top_of_the_range(self, capsys, op, union):
+        code, out, err = run_cli(capsys, "spectrum", "--input", op)
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=self._reject)
+        assert [(e["value"][0], e["multiplicity"]) for e in report["eigenvalues"]] == union
 
     @staticmethod
     def _reject(token):

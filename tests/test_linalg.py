@@ -41,7 +41,7 @@ class TestNullspace:
     def test_zero_matrix_full(self):
         space = nullspace(np.zeros((2, 2)))
         assert space.dim == 2
-        assert space.gram_defect() <= 1e-10
+        assert np.linalg.norm(space.basis.conj().T @ space.basis - np.eye(space.dim)) <= 1e-10
 
     def test_projection(self):
         space = nullspace(np.array([[1, 0], [0, 0]], dtype=complex))
@@ -58,7 +58,7 @@ class TestNullspace:
             a = _complex_gauss(rng, (n, r)) @ _complex_gauss(rng, (r, n))
         space = nullspace(a)
         assert space.dim == n - r
-        assert space.gram_defect() <= 1e-10
+        assert np.linalg.norm(space.basis.conj().T @ space.basis - np.eye(space.dim)) <= 1e-10
         for v in space.vectors():
             assert np.linalg.norm(a @ v) <= 1e-10 * max(frobenius(a), 1.0)
 
@@ -109,7 +109,7 @@ class TestEigenDecompose:
         for _ in range(30):
             n = int(rng.integers(1, 7))
             a = _complex_gauss(rng, (n, n))
-            assert eigenvalues(a).total_multiplicity == n
+            assert sum(m for _, m in eigenvalues(a).values) == n
 
     def test_eigenpair_residuals(self):
         rng = np.random.default_rng(17)
@@ -285,6 +285,64 @@ class TestKahan:
                     deficient += rank < n
         assert wrong == []
         assert deficient >= 30
+
+
+def _exact_frobenius(mpmath, a):
+    """||A||_F from the exact values of A's float parts, at the working precision."""
+    return mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in np.concatenate([a.real.ravel(), a.imag.ravel()])))
+
+
+class TestOneScale:
+    def test_plain_formula_is_reproduced_bit_for_bit(self):
+        # Wherever no square underflows and the sum of squares is finite, scaling by a
+        # power of two changes no rounding: frobenius is np.linalg.norm and
+        # cluster_tolerance is cluster_tol * (1 + norm), bit for bit.
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 10_000:
+            m = int(rng.integers(1, 41))
+            n = m if rng.random() < 2 / 3 else int(rng.integers(1, 41))
+            a = _complex_gauss(rng, (m, n)) * 10.0 ** rng.uniform(-150, 150)
+            parts = np.abs(np.concatenate([a.real.ravel(), a.imag.ravel()]))
+            if parts.min() ** 2 < np.finfo(float).tiny:
+                continue
+            norm = float(np.linalg.norm(a))
+            assert frobenius(a) == norm
+            assert cluster_tolerance(a) == 1e-8 * (1.0 + norm)
+            assert cluster_tolerance(a, 1e-3) == 1e-3 * (1.0 + norm)
+            checked += 1
+
+    def test_frobenius_matches_a_50_digit_norm_across_the_range(self):
+        # Parts below 1 scaled by 2**-1070 (subnormal) to 2**1023.  Where the true norm is
+        # beyond the float range, frobenius is inf; where it is subnormal, the error bound
+        # is the subnormal spacing 2**-1074.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1070)
+        biggest = mpmath.mpf(np.finfo(float).max)
+        cases = [np.full((3, 3), 1e-170)]
+        for e in np.linspace(-1070, 1023, 300).astype(int):
+            m, n = (int(k) for k in rng.integers(1, 9, 2))
+            parts = rng.uniform(-1, 1, (2, m, n))
+            cases.append(np.ldexp(parts[0], e) + 1j * np.ldexp(parts[1], e))
+        with mpmath.workdps(50):
+            for a in cases:
+                exact = _exact_frobenius(mpmath, a)
+                got = frobenius(a)
+                if exact > biggest:
+                    assert got == math.inf
+                else:
+                    assert abs(got - exact) <= max(1e-14 * exact, 2.0**-1074), (a.tolist(), got, exact)
+
+    def test_every_finite_side_gets_a_finite_tolerance(self):
+        # ||t||_F = 2.4e308 is beyond the float range; 1e-8 * (1 + ||t||_F) is not.
+        mpmath = pytest.importorskip("mpmath")
+        t = np.diag([1.7e308, -1.7e308, 1.0])
+        got = cluster_tolerance(t)
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(1e-8) * (1 + _exact_frobenius(mpmath, t))
+        assert math.isfinite(got)
+        assert abs(got - exact) <= 1e-14 * exact
+        assert cluster_tolerance(np.zeros((0, 0))) == 1e-8
 
 
 def _scan_cluster_points(points, tol_abs):

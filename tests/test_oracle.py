@@ -126,7 +126,7 @@ class TestBruteModifiedEigenspace:
 
     def test_basis_orthonormal(self, ex_op):
         space = brute_modified_eigenspace(ex_op, Bicomplex(1.0, 1.0))
-        assert space.gram_defect() <= 1e-10
+        assert np.linalg.norm(space.basis.conj().T @ space.basis - np.eye(space.dim)) <= 1e-10
 
 
 class TestPlantedOperators:
@@ -159,7 +159,7 @@ class TestPlantedOperators:
         for profile in PROFILES:
             planted = random_operator(Rng(14, (hash(profile) % 100,)), 1, profile)
             assert planted.operator.shape == (1, 1)
-            assert eigenvalues(planted.operator.t1).total_multiplicity == 1
+            assert sum(m for _, m in eigenvalues(planted.operator.t1).values) == 1
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
