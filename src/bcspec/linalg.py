@@ -2,13 +2,13 @@
 
 Everything the componentwise bicomplex computations need: one rank
 decision behind singularity tests, nullspaces and column spaces, an
-eigensolver with multiplicity clustering that keeps the eigenvector of each
-simple eigenvalue, and subspace sum/intersection arithmetic.  Factorizations
-are numpy's LAPACK calls: one SVD of the matrix scaled by a power of two
-for each rank decision (see _svd), and one eig per matrix for its
-eigenvalues and eigenvectors.  Every norm and tolerance goes through the
-same exact power-of-two scale (see _scaled), so none overflows while its
-true value is finite.
+eigensolver that clusters (value, count) pairs and keeps the eigenvector of
+each simple eigenvalue, and subspace sum/intersection arithmetic.
+Factorizations are numpy's LAPACK calls: one SVD of the matrix scaled by a
+power of two for each rank decision (see _svd), and one eig per matrix for
+its eigenvalues and eigenvectors.  Every norm and tolerance goes through
+the same exact power-of-two scale (see _scaled), so none overflows while
+its true value is finite; no cluster merge overflows (see cluster_points).
 """
 
 from __future__ import annotations
@@ -215,23 +215,23 @@ def column_space(a, tol: float = DEFAULT_TOL) -> CSubspace:
     return CSubspace(m, u[:, :rank])
 
 
-def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:
-    """Agglomerate complex points whose representatives sit within tol_abs.
+def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int]]:
+    """Agglomerate (value, count) clusters, the pairs it returns, whose values sit within tol_abs.
 
-    Each step merges the closest pair of clusters into their count-weighted
-    mean; a tie goes to the first pair in (i, j) list order, and the merged
-    cluster takes i's place.  Merging stops once the closest pair is farther
-    apart than tol_abs.  Returns (representative, count) pairs, pairwise
-    separated by more than tol_abs, sorted by (real, imag).
+    Each step merges the closest pair a, b into their count-weighted mean
+    a + (b - a) * n_b / (n_a + n_b), which lies between a and b, so it never
+    overflows and is exactly a when b == a; a pair whose distance overflows
+    is never merged.  A tie goes to the first pair in (i, j) list order, and
+    the merged cluster takes i's place.  Merging stops once the closest pair
+    is farther apart than tol_abs.  Returns (representative, count) pairs,
+    pairwise separated by more than tol_abs, sorted by (real, imag).
 
     Each live cluster caches its nearest later neighbour, so a merge rescans
     only the merged cluster and the clusters whose neighbour it absorbed:
-    O(k^2) typical time and O(k) extra memory.  A NaN distance (from
-    representatives at the top of the float range) is never the closest,
-    except between the first two clusters, where it is merged at once.
+    O(k^2) typical time and O(k) extra memory.
     """
-    reps = [complex(p) for p in points]
-    counts = [1] * len(reps)
+    reps = [complex(v) for v, _ in clusters]
+    counts = [m for _, m in clusters]
     live = list(range(len(reps)))
     near_d = [math.inf] * len(reps)
     near_j = [-1] * len(reps)
@@ -241,27 +241,23 @@ def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:
         zi = reps[i]
         best_d, best_j = math.inf, -1
         for j in live[pos + 1 :]:
-            d = abs(zi - reps[j])
-            if d < best_d or (best_j < 0 and d == best_d):
+            try:
+                d = abs(zi - reps[j])
+            except OverflowError:  # finite parts, modulus beyond float range
+                continue
+            if d < best_d:
                 best_d, best_j = d, j
         near_d[i], near_j[i] = best_d, best_j
 
     for pos in range(len(live)):
         scan(pos)
     while len(live) > 1:
-        i, j = live[0], live[1]
-        d = abs(reps[i] - reps[j])
-        if d == d:  # not NaN: take the closest pair, the first one on a tie
-            i = -1
-            for r in live:
-                if near_j[r] >= 0 and (i < 0 or near_d[r] < d):
-                    d, i = near_d[r], r
-            j = near_j[i]
-            if d > tol_abs:
-                break
-        total = counts[i] + counts[j]
-        reps[i] = (reps[i] * counts[i] + reps[j] * counts[j]) / total
-        counts[i] = total
+        i = min(live, key=near_d.__getitem__)  # the closest pair, the first one on a tie
+        j = near_j[i]
+        if j < 0 or near_d[i] > tol_abs:
+            break
+        counts[i] += counts[j]
+        reps[i] += (reps[j] - reps[i]) * (counts[j] / counts[i])
         end = live.index(j)
         del live[end]
         # Clusters after j never look back at i or j.
@@ -270,12 +266,13 @@ def cluster_points(points, tol_abs: float) -> list[tuple[complex, int]]:
             if r == i or near_j[r] in (i, j):
                 scan(pos)
             elif r < i:
-                d = abs(reps[r] - reps[i])
-                if d < near_d[r] or (d == near_d[r] and (near_j[r] < 0 or i < near_j[r])):
+                try:
+                    d = abs(reps[r] - reps[i])
+                except OverflowError:
+                    continue
+                if d < near_d[r] or (d == near_d[r] and i < near_j[r]):
                     near_d[r], near_j[r] = d, i
-    merged = [(reps[i], counts[i]) for i in live]
-    merged.sort(key=lambda vc: (vc[0].real, vc[0].imag))
-    return merged
+    return sorted(((reps[i], counts[i]) for i in live), key=lambda vc: (vc[0].real, vc[0].imag))
 
 
 def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
@@ -291,8 +288,9 @@ def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
 def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
     """Clustered spectrum of a square matrix, from one eig; its tol is the cluster tolerance of a.
 
-    cluster_points never moves a singleton, so each simple cluster's value is
-    one eig value exactly and takes that value's eigenvector column.
+    Each eig value enters cluster_points as a count-1 cluster, which it never
+    moves, so each simple cluster's value is one eig value exactly and takes
+    that value's eigenvector column.  A non-finite eig value raises NonFiniteValueError.
     """
     a = as_carray(a)
     n = _require_square(a, "eigenvalues")
@@ -303,8 +301,10 @@ def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
         vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    if not np.isfinite(vals).all():  # eig's NaN for some entries whose modulus exceeds float range
+        raise NonFiniteValueError("eig gave a non-finite eigenvalue of a finite matrix")
     points = vals.tolist()
-    clusters = tuple(cluster_points(points, tol))
+    clusters = tuple(cluster_points([(v, 1) for v in points], tol))
     column = {v: k for k, v in enumerate(points)}
     return EigenSet(clusters, tol, tuple(vecs[:, column[v]] if m == 1 else None for v, m in clusters))
 

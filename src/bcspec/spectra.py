@@ -97,14 +97,14 @@ class SpectrumReport:
 
     @cached_property
     def eigenvalues_of_T(self) -> EigenSet:
-        """Clustered union of Y1 and Y2, multiplicities summed across components.
+        """Union of Y1 and Y2, multiplicities summed across components.
 
-        This is the spectrum of the block embedding diag(t1, t2) as a
-        multiset, clustered at the larger of the two tolerances.
+        The spectrum of diag(t1, t2): cluster_points over both sides' clusters
+        at the larger of the two tolerances, so an eigenvalue that only one
+        side has keeps that side's value bit for bit.
         """
         tol = max(self.upsilon1.tol, self.upsilon2.tol)
-        combined = self.upsilon1.multiset() + self.upsilon2.multiset()
-        return EigenSet(tuple(cluster_points(combined, tol)), tol)
+        return EigenSet(tuple(cluster_points(self.upsilon1.values + self.upsilon2.values, tol)), tol)
 
     def is_eigenvalue(self, lam) -> bool:
         """lambda is an eigenvalue of T iff it lies in Y1 ∪ Y2."""

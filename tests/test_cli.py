@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: commands, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -162,6 +163,28 @@ class TestSpectrum:
             {"dimension": 2, "max_residual": 7.5e-09, "value": [7.5e-09, 0.0]},
             {"dimension": 2, "max_residual": 0.0, "value": [100.0, 0.0]},
         ]
+
+    def test_an_eigenvalue_of_one_side_prints_that_sides_value(self, capsys, tmp_path):
+        # Normal n = 16 sides with clusters of multiplicity 8 and 4 and four
+        # simple eigenvalues, no value shared: each eigenvalue of T is a side's
+        # cluster as it stands, never a re-averaged copy of one.
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+
+        def side(vals):
+            q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+            return (q * np.array(vals)) @ q.conj().T
+
+        t1 = side([v[0]] * 8 + [v[1]] * 4 + list(v[2:6]))
+        t2 = side([v[6]] * 8 + [v[7]] * 4 + list(v[8:12]))
+        path = tmp_path / "clustered.json"
+        path.write_text(json.dumps({"t1": _matrix_json(t1), "t2": _matrix_json(t2)}))
+        code, out, err = run_cli(capsys, "spectrum", "--input", str(path))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        sides = sorted(report["upsilon1"] + report["upsilon2"], key=lambda e: e["value"])
+        assert sorted(e["multiplicity"] for e in sides) == [1] * 8 + [4, 4, 8, 8]
+        assert report["eigenvalues"] == sides
 
 
 def _matrix_json(t) -> list:
@@ -432,6 +455,25 @@ class TestErrorHandling:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "t1",
+        [[[[1.5e308, 1.5e308]]], [[[1.5e308, 1.5e308], [0, 0]], [[0, 0], [1, 0]]]],
+        ids=["1x1", "2x2"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["spectrum"], ["modified", "--kappa", '{"idem":[1.5e308,1.5e308,0,0]}']], ids=["spectrum", "modified"]
+    )
+    def test_non_finite_eigenvalues_exit_2(self, capsys, t1, argv):
+        # eig gives NaN for an entry whose modulus exceeds the float range.  A
+        # stale ERANGE in the C errno makes Python's abs of a NaN complex raise
+        # OverflowError, so provoke one: the verdict must not depend on it.
+        op = {"t1": t1, "t2": [[[0, 0]] * len(t1)] * len(t1)}
+        with pytest.raises(OverflowError):
+            math.exp(1000)
+        code, out, err = run_cli(capsys, argv[0], "--input", json.dumps(op), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: eig gave a non-finite eigenvalue of a finite matrix"]
+
     def test_idempotent_overflow_names_the_conversion(self, capsys):
         # every real coefficient is finite; z1 + i*z2 = 1e308 + 1e308 is not
         code, out, err = run_cli(capsys, "decompose", "--input", '{"real":[1e308,1e308,1e308,1e308]}')
@@ -592,6 +634,36 @@ class TestOutputModes:
         report = json.loads(out, parse_constant=self._reject)
         assert (report["case"], report["dimension"]) == ("OnlyMinus", 1)
         assert report["max_residual"] == 4.0
+
+    def test_scaled_identity_at_the_top_of_the_range(self, capsys):
+        # T = 1e308*I: the union merges 1e308 of each side without forming 2e308
+        code, out, err = run_cli(capsys, "spectrum", "--input", '{"t1":[[[1e308,0]]],"t2":[[[1e308,0]]]}')
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=self._reject)
+        assert report["eigenvalues"] == [{"multiplicity": 2, "value": [1e308, 0.0]}]
+        assert report["eigenspaces"] == [{"dimension": 2, "max_residual": 0.0, "value": [1e308, 0.0]}]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["spectrum"], None),
+            (["modified", "--kappa", '{"idem":[1.2e308,1.2e308,0,0]}'], ("Both", 3)),
+            (["eigenspace", "--lam", "[0,0]"], ("OnlyPlus", 2)),
+        ],
+        ids=["spectrum", "modified", "eigenspace"],
+    )
+    def test_distances_beyond_the_float_range_are_never_merged(self, capsys, argv, expected):
+        # |1.2e308(1+i) - (-1e307)(1+i)| exceeds the float range, so Python's abs
+        # raises on it; such a pair is two clusters, not an error.
+        op = {"t1": [[[1.2e308, 1.2e308], [0, 0]], [[0, 0], [-1e307, -1e307]]], "t2": [[[0, 0]] * 2] * 2}
+        code, out, err = run_cli(capsys, argv[0], "--input", json.dumps(op), *argv[1:])
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=self._reject)
+        if expected is None:
+            assert [e["multiplicity"] for e in report["eigenvalues"]] == [1, 2, 1]
+            assert all(math.isfinite(e["max_residual"]) for e in report["eigenspaces"])
+        else:
+            assert (report["case"], report["dimension"]) == expected
 
     @pytest.mark.xfail(
         strict=True,

@@ -1,5 +1,6 @@
 """Complex linear algebra: rank decisions, nullspaces, eigensolver, subspace arithmetic."""
 
+import cmath
 import math
 import struct
 
@@ -10,6 +11,7 @@ from bcspec import (
     ConvergenceError,
     CSubspace,
     EigenSet,
+    NonFiniteValueError,
     NonSquareError,
     eigenvalues,
     is_singular_matrix,
@@ -166,6 +168,11 @@ class TestEigenDecompose:
         assert es.vectors[0] is not None and bare.vectors == (None, None)
         assert es == bare and hash(es) == hash(bare)
         assert len({es, bare}) == 1
+
+    def test_a_non_finite_eig_value_is_refused(self):
+        # finite entries, but |1.5e308 + 1.5e308i| exceeds the float range: eig gives NaN
+        with pytest.raises(NonFiniteValueError, match="non-finite eigenvalue"):
+            eigenvalues(np.array([[1.5e308 + 1.5e308j]]))
 
     def test_empty_spectrum_impossible(self):
         # complex matrices always carry at least one eigenvalue
@@ -345,23 +352,25 @@ class TestOneScale:
         assert cluster_tolerance(np.zeros((0, 0))) == 1e-8
 
 
-def _scan_cluster_points(points, tol_abs):
+def _scan_cluster_points(clusters, tol_abs):
     """The O(k^3) closest-pair scan cluster_points replaces, kept as its reference."""
-    clusters = [[complex(p), 1] for p in points]
+    clusters = [[complex(v), m] for v, m in clusters]
     while len(clusters) > 1:
-        best = None
+        best = (math.inf, -1, -1)
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                d = abs(clusters[i][0] - clusters[j][0])
-                if best is None or d < best[0]:
+                try:
+                    d = abs(clusters[i][0] - clusters[j][0])
+                except OverflowError:
+                    continue
+                if d < best[0]:
                     best = (d, i, j)
-        if best is None or best[0] > tol_abs:
+        d, i, j = best
+        if i < 0 or d > tol_abs:
             break
-        _, i, j = best
         ci, cj = clusters[i], clusters[j]
         total = ci[1] + cj[1]
-        rep = (ci[0] * ci[1] + cj[0] * cj[1]) / total
-        clusters[i] = [rep, total]
+        clusters[i] = [ci[0] + (cj[0] - ci[0]) * (cj[1] / total), total]
         del clusters[j]
     merged = [(rep, count) for rep, count in clusters]
     merged.sort(key=lambda vc: (vc[0].real, vc[0].imag))
@@ -398,7 +407,7 @@ def _cluster_case(rng, kind: int):
 
 
 def _bits(clusters):
-    """(representative, count) pairs with the representative as raw bits, so NaN compares equal."""
+    """(representative, count) pairs with the representative as raw bits, so equal means bit for bit."""
     return [(struct.pack("<dd", z.real, z.imag), m) for z, m in clusters]
 
 
@@ -407,7 +416,18 @@ class TestClustering:
         rng = np.random.default_rng(2024)
         for case in range(3000):
             pts, tol = _cluster_case(rng, case % 6)
-            assert _bits(cluster_points(pts, tol)) == _bits(_scan_cluster_points(pts, tol)), (pts, tol)
+            clusters = [(p, 1) for p in pts]
+            assert _bits(cluster_points(clusters, tol)) == _bits(_scan_cluster_points(clusters, tol)), (pts, tol)
+
+    def test_weighted_clusters_merge_as_the_scan(self):
+        # the same point stream, with counts 1-3 from a second generator
+        rng, weights = np.random.default_rng(2024), np.random.default_rng(2025)
+        for case in range(3000):
+            pts, tol = _cluster_case(rng, case % 6)
+            clusters = [(p, int(m)) for p, m in zip(pts, weights.integers(1, 4, len(pts)))]
+            got = cluster_points(clusters, tol)
+            assert _bits(got) == _bits(_scan_cluster_points(clusters, tol)), (clusters, tol)
+            assert sum(m for _, m in got) == sum(m for _, m in clusters)
 
     def test_overflowing_means_match_the_scan(self):
         for pts, tol in (
@@ -415,19 +435,33 @@ class TestClustering:
             ([1.5e308 + 1e308j, 1.6e308 - 1e308j, -1e308 + 1e308j], math.inf),
             ([1e308, 1.2e308, 1.7e308, 1.1e308], 1e308),
         ):
-            got = cluster_points(pts, tol)
-            assert _bits(got) == _bits(_scan_cluster_points(pts, tol))
+            clusters = [(p, 1) for p in pts]
+            got = cluster_points(clusters, tol)
+            assert _bits(got) == _bits(_scan_cluster_points(clusters, tol))
             assert sum(m for _, m in got) == len(pts)
+            assert all(cmath.isfinite(v) for v, _ in got), got
+
+    def test_a_tie_after_a_merge_goes_to_the_first_pair(self):
+        # 0's nearest is -1 until 1 +- 2**-10 i merge into 1, which ties it and comes first
+        clusters = [(0j, 1), (1 + 2**-10 * 1j, 1), (1 - 2**-10 * 1j, 1), (-1 + 0j, 1)]
+        got = cluster_points(clusters, 1.0)
+        assert got == _scan_cluster_points(clusters, 1.0) == [(-1 + 0j, 1), (2 / 3 + 0j, 3)]
+
+    def test_equal_copies_keep_their_value(self):
+        rng = np.random.default_rng(2026)
+        for m in (3, 4, 5, 64):
+            for a in _complex_gauss(rng, (500,)).tolist():
+                assert _bits(cluster_points([(a, 1)] * m, 1e-8)) == _bits([(a, m)])
 
     def test_merges_close_points(self):
-        merged = cluster_points([1.0, 1.0 + 1e-12, 5.0], tol_abs=1e-8)
+        merged = cluster_points([(1.0, 1), (1.0 + 1e-12, 1), (5.0, 1)], tol_abs=1e-8)
         assert [(round(v.real), m) for v, m in merged] == [(1, 2), (5, 1)]
 
     def test_representatives_separated(self):
         rng = np.random.default_rng(5)
         pts = list(rng.standard_normal(12) + 1j * rng.standard_normal(12))
         pts += [pts[0] + 1e-12, pts[3] + 2e-12]
-        merged = cluster_points(pts, tol_abs=1e-8)
+        merged = cluster_points([(p, 1) for p in pts], tol_abs=1e-8)
         reps = [v for v, _ in merged]
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
