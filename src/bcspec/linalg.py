@@ -2,8 +2,9 @@
 
 Everything the componentwise bicomplex computations need: one rank
 decision behind singularity tests, nullspaces and column spaces, an
-eigensolver that clusters (value, count) pairs and keeps the eigenvector of
-each simple eigenvalue, and subspace sum/intersection arithmetic.
+eigensolver that clusters (value, count) pairs on one distance matrix and
+keeps the eigenvector of each simple eigenvalue, one membership rule
+(EigenSet.near), and subspace sum/intersection arithmetic.
 Factorizations are numpy's LAPACK calls: one SVD of the matrix scaled by a
 power of two for each rank decision (see _svd), and one eig per matrix for
 its eigenvalues and eigenvectors.  Every norm and tolerance goes through
@@ -111,8 +112,8 @@ class EigenSet:
     """Clustered spectrum: (eigenvalue, algebraic multiplicity) pairs.
 
     Representatives are pairwise separated by more than tol, the absolute
-    tolerance the set was clustered at and decides membership with, and
-    multiplicities sum to the matrix dimension.  vectors, aligned with
+    tolerance the set was clustered at and decides membership with (near),
+    and multiplicities sum to the matrix dimension.  vectors, aligned with
     values, holds the unit eigenvector of each simple cluster as eig
     returned it and None for every other cluster; it is all None when the
     set was not computed by eigenvalues, and equality and hashing ignore it.
@@ -136,19 +137,24 @@ class EigenSet:
             out.extend([v] * m)
         return out
 
-    def distances(self, points) -> np.ndarray:
-        """|z - v| for each point z (rows) and cluster v (columns).
+    def near(self, z) -> list[int]:
+        """Indices of the clusters within tol of z; a tie at the boundary is a member.
 
-        np.hypot equals Python's abs bit for bit where finite (np.abs does not),
-        and gives inf where abs raises OverflowError.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan at the top of the range
-            d = np.asarray(points, dtype=complex)[:, None] - np.array(self.value_list(), dtype=complex)
-            return np.hypot(d.real, d.imag)
+        The distance is Python's abs of complex(z) - v, and inf beyond float range."""
+        z = complex(z)
+        out = []
+        for k, (v, _) in enumerate(self.values):
+            try:
+                d = abs(z - v)
+            except OverflowError:
+                d = math.inf
+            if d <= self.tol:
+                out.append(k)
+        return out
 
     def contains(self, lam) -> bool:
-        """Membership within tol, one row of distances; a tie at the boundary is a member."""
-        return bool((self.distances([lam])[0] <= self.tol).any())
+        """Membership within tol: some cluster is near lam."""
+        return bool(self.near(lam))
 
 
 def _svd(a: np.ndarray, tol: float, threshold: float | None = None, vectors: bool = False):
@@ -215,8 +221,15 @@ def column_space(a, tol: float = DEFAULT_TOL) -> CSubspace:
     return CSubspace(m, u[:, :rank])
 
 
+def _moduli(z: np.ndarray, w) -> np.ndarray:
+    """|z - w| by np.hypot of the part differences: Python's abs bit for bit, and inf where abs raises."""
+    with np.errstate(over="ignore"):  # a part difference beyond float range is inf
+        d = z.real - w.real
+        return np.hypot(d, z.imag - w.imag, out=d)
+
+
 def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int]]:
-    """Agglomerate (value, count) clusters, the pairs it returns, whose values sit within tol_abs.
+    """Agglomerate (value, count) clusters, the pairs it returns, whose finite values sit within tol_abs.
 
     Each step merges the closest pair a, b into their count-weighted mean
     a + (b - a) * n_b / (n_a + n_b), which lies between a and b, so it never
@@ -226,53 +239,34 @@ def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int]]:
     is farther apart than tol_abs.  Returns (representative, count) pairs,
     pairwise separated by more than tol_abs, sorted by (real, imag).
 
-    Each live cluster caches its nearest later neighbour, so a merge rescans
-    only the merged cluster and the clusters whose neighbour it absorbed:
-    O(k^2) typical time and O(k) extra memory.
+    The distances are one k-by-k matrix, inf on and below the diagonal and
+    for merged-away clusters, whose row-major argmin is the closest pair, the
+    first one on a tie; a merge refreshes the row and column of i.  O(k^2)
+    time per merge and k^2 doubles of memory.
     """
     reps = [complex(v) for v, _ in clusters]
     counts = [m for _, m in clusters]
-    live = list(range(len(reps)))
-    near_d = [math.inf] * len(reps)
-    near_j = [-1] * len(reps)
-
-    def scan(pos: int) -> None:
-        i = live[pos]
-        zi = reps[i]
-        best_d, best_j = math.inf, -1
-        for j in live[pos + 1 :]:
-            try:
-                d = abs(zi - reps[j])
-            except OverflowError:  # finite parts, modulus beyond float range
-                continue
-            if d < best_d:
-                best_d, best_j = d, j
-        near_d[i], near_j[i] = best_d, best_j
-
-    for pos in range(len(live)):
-        scan(pos)
-    while len(live) > 1:
-        i = min(live, key=near_d.__getitem__)  # the closest pair, the first one on a tie
-        j = near_j[i]
-        if j < 0 or near_d[i] > tol_abs:
+    k = len(reps)
+    if k <= 1:
+        return list(zip(reps, counts))
+    z = np.array(reps)
+    dist = _moduli(z[:, None], z)
+    dist[np.tri(k, dtype=bool)] = np.inf
+    live = np.ones(k, dtype=bool)
+    while True:
+        i, j = divmod(int(dist.argmin()), k)
+        if dist[i, j] > tol_abs or dist[i, j] == math.inf:
             break
         counts[i] += counts[j]
         reps[i] += (reps[j] - reps[i]) * (counts[j] / counts[i])
-        end = live.index(j)
-        del live[end]
-        # Clusters after j never look back at i or j.
-        for pos in range(end):
-            r = live[pos]
-            if r == i or near_j[r] in (i, j):
-                scan(pos)
-            elif r < i:
-                try:
-                    d = abs(reps[r] - reps[i])
-                except OverflowError:
-                    continue
-                if d < near_d[r] or (d == near_d[r] and i < near_j[r]):
-                    near_d[r], near_j[r] = d, i
-    return sorted(((reps[i], counts[i]) for i in live), key=lambda vc: (vc[0].real, vc[0].imag))
+        z[i] = reps[i]
+        live[j] = False
+        dist[j, :] = dist[:, j] = np.inf
+        row = _moduli(z, z[i])
+        row[~live] = np.inf
+        dist[i, i + 1 :] = row[i + 1 :]
+        dist[:i, i] = row[:i]
+    return sorted(((reps[i], counts[i]) for i in np.flatnonzero(live)), key=lambda vc: (vc[0].real, vc[0].imag))
 
 
 def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:

@@ -100,10 +100,12 @@ class SpectrumReport:
         """Union of Y1 and Y2, multiplicities summed across components.
 
         The spectrum of diag(t1, t2): cluster_points over both sides' clusters
-        at the larger of the two tolerances, so an eigenvalue that only one
-        side has keeps that side's value bit for bit.
+        at the smaller of the two tolerances, so a value of one side merges
+        with a value of the other only when each lies within the other side's
+        tol, and an eigenvalue that only one side has keeps that side's value
+        bit for bit.
         """
-        tol = max(self.upsilon1.tol, self.upsilon2.tol)
+        tol = min(self.upsilon1.tol, self.upsilon2.tol)
         return EigenSet(tuple(cluster_points(self.upsilon1.values + self.upsilon2.values, tol)), tol)
 
     def is_eigenvalue(self, lam) -> bool:
@@ -258,11 +260,12 @@ class ModifiedEigenspace:
 def _side_space(es: EigenSet, t: np.ndarray, z: complex) -> CSubspace | None:
     """The eigenspace of z in t, whose spectrum is es; None when no cluster of es is within es.tol.
 
-    The one choice of route: the eig vector es keeps when exactly one cluster
-    is near and it is simple, else the nullspace of t - zI at threshold es.tol.
+    The one choice of route, from one es.near(z) query: the eig vector es
+    keeps when exactly one cluster is near and it is simple, else the
+    nullspace of t - zI at threshold es.tol.
     """
-    near = np.flatnonzero(es.distances([z])[0] <= es.tol)
-    if len(near) == 0:
+    near = es.near(z)
+    if not near:
         return None
     if len(near) == 1 and es.vectors[near[0]] is not None:
         return CSubspace(len(t), es.vectors[near[0]][:, None])

@@ -107,7 +107,7 @@ def _far_scalar(gen, *eigensets: EigenSet) -> complex:
     """A complex draw at distance > 1e-3 from every listed spectrum."""
     c = complex(complex_normal(gen)) * 2.0
     for _ in range(100):
-        if all((es.distances([c]) > 1e-3).all() for es in eigensets):
+        if all(abs(c - v) > 1e-3 for es in eigensets for v, _ in es.values):
             return c
         c = c + 2.5
     return c

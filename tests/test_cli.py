@@ -139,7 +139,7 @@ class TestSpectrum:
         nullspace = counted("nullspace", bcspec.linalg.nullspace)
         for module in (bcspec.linalg, bcspec.spectra):
             monkeypatch.setattr(module, "nullspace", nullspace)
-        # Membership goes through one distances query per side, not a contains per point.
+        # Membership goes through one near query per side, not a contains per point.
         monkeypatch.setattr(
             bcspec.linalg.EigenSet, "contains", counted("contains", bcspec.linalg.EigenSet.contains)
         )
@@ -154,15 +154,44 @@ class TestSpectrum:
             assert space["max_residual"] <= bound
 
     def test_two_clusters_within_tolerance_take_the_rank_test(self, capsys):
-        # Y1 = {0, 1.5e-8} is two clusters at tol ~1e-8; the union, clustered
-        # at the tolerance of t2 = 100*I, holds 7.5e-9 within tol of both.
-        op = {"t1": [[[0, 0], [0, 0]], [[0, 0], [1.5e-8, 0]]], "t2": [[[100, 0], [0, 0]], [[0, 0], [100, 0]]]}
-        code, out, _ = run_cli(capsys, "spectrum", "--input", json.dumps(op))
+        # Y1 = {0, 1.5e-8} is two clusters at tol ~1e-8, and the union keeps
+        # them apart at that smaller tolerance; 7.5e-9 lies within tol of
+        # both, so its eigenspace is the rank test's.
+        op = json.dumps({"t1": [[[0, 0], [0, 0]], [[0, 0], [1.5e-8, 0]]], "t2": [[[100, 0], [0, 0]], [[0, 0], [100, 0]]]})
+        code, out, _ = run_cli(capsys, "spectrum", "--input", op)
         assert code == 0
-        assert json.loads(out)["eigenspaces"] == [
-            {"dimension": 2, "max_residual": 7.5e-09, "value": [7.5e-09, 0.0]},
+        report = json.loads(out)
+        assert [(e["value"][0], e["multiplicity"]) for e in report["eigenvalues"]] == [(0.0, 1), (1.5e-8, 1), (100.0, 2)]
+        assert report["eigenspaces"] == [
+            {"dimension": 1, "max_residual": 0.0, "value": [0.0, 0.0]},
+            {"dimension": 1, "max_residual": 0.0, "value": [1.5e-08, 0.0]},
             {"dimension": 2, "max_residual": 0.0, "value": [100.0, 0.0]},
         ]
+        code, out, _ = run_cli(capsys, "eigenspace", "--input", op, "--lam", "[7.5e-9,0]")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["case"], report["dimension"], report["max_residual"]) == ("OnlyMinus", 2, 7.5e-09)
+
+    @pytest.mark.parametrize(
+        "op, union",
+        [
+            (
+                '{"t1":[[[1e9,0],[0,0]],[[0,0],[1,0]]],"t2":[[[1,0],[0,0]],[[0,0],[1.5,0]]]}',
+                [(1.0, 2), (1.5, 1), (1e9, 1)],
+            ),
+            (
+                '{"t1":[[[0,0],[0,0]],[[0,0],[0.5,0]]],"t2":[[[1e9,0],[0,0]],[[0,0],[100,0]]]}',
+                [(0.0, 1), (0.5, 1), (100.0, 1), (1e9, 1)],
+            ),
+        ],
+        ids=["merge", "split"],
+    )
+    def test_the_union_is_clustered_at_the_smaller_tolerance(self, capsys, op, union):
+        # Norms 1e9 apart: the large side's tol (~10) would merge the small
+        # side's eigenvalues with each other or with the large side's.
+        code, out, err = run_cli(capsys, "spectrum", "--input", op)
+        assert (code, err) == (0, "")
+        assert [(e["value"][0], e["multiplicity"]) for e in json.loads(out)["eigenvalues"]] == union
 
     def test_an_eigenvalue_of_one_side_prints_that_sides_value(self, capsys, tmp_path):
         # Normal n = 16 sides with clusters of multiplicity 8 and 4 and four
@@ -665,11 +694,6 @@ class TestOutputModes:
         else:
             assert (report["case"], report["dimension"]) == expected
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1, problem 2: the union of Y1 and Y2 is clustered at the larger side's tolerance",
-    )
     @pytest.mark.parametrize(
         "op, union",
         [

@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,21 @@ def _cluster_case(rng, kind: int):
     return pts, tol
 
 
+def _planted_case(rng):
+    """20-80 shuffled points in planted clusters: members on a tol/2 lattice or jittered about a centre."""
+    k = int(rng.integers(20, 81))
+    tol = float(10.0 ** rng.uniform(-3, 0))
+    centres = _complex_gauss(rng, (int(rng.integers(1, k // 3 + 1)),)) * tol * rng.uniform(2, 20)
+    pts = []
+    for c in centres[rng.integers(len(centres), size=k)]:
+        if rng.random() < 0.5:  # exact ties at tol/2 and tol
+            a, b = rng.integers(-1, 2, 2)
+            pts.append(complex(c) + complex(int(a), int(b)) * (tol / 2))
+        else:
+            pts.append(complex(c + _complex_gauss(rng, ()) * tol * 0.3))
+    return pts, tol
+
+
 def _bits(clusters):
     """(representative, count) pairs with the representative as raw bits, so equal means bit for bit."""
     return [(struct.pack("<dd", z.real, z.imag), m) for z, m in clusters]
@@ -428,6 +444,19 @@ class TestClustering:
             got = cluster_points(clusters, tol)
             assert _bits(got) == _bits(_scan_cluster_points(clusters, tol)), (clusters, tol)
             assert sum(m for _, m in got) == sum(m for _, m in clusters)
+
+    def test_planted_clusters_deep_in_the_matrix_merge_as_the_scan(self):
+        # k = 20-80, so merges refresh rows and columns far from the corner
+        rng, weights = np.random.default_rng(2027), np.random.default_rng(2028)
+        merged = 0
+        for case in range(100):
+            pts, tol = _planted_case(rng)
+            counts = weights.integers(1, 4, len(pts)) if case % 2 else np.ones(len(pts), dtype=int)
+            clusters = [(p, int(m)) for p, m in zip(pts, counts)]
+            got = cluster_points(clusters, tol)
+            assert _bits(got) == _bits(_scan_cluster_points(clusters, tol)), (clusters, tol)
+            merged += len(clusters) - len(got)
+        assert merged > 2000
 
     def test_overflowing_means_match_the_scan(self):
         for pts, tol in (
@@ -478,7 +507,7 @@ class TestClustering:
         assert not es.contains(np.nextafter(1.5, 2.0))
         assert not es.contains(2.5)
 
-    def test_distances_are_python_abs(self):
+    def test_near_is_python_abs(self):
         rng = np.random.default_rng(2503)
 
         def draw(k, exponent):
@@ -486,27 +515,40 @@ class TestClustering:
             return rng.standard_normal(k) * scale[0] + 1j * rng.standard_normal(k) * scale[1]
 
         for points, reps in ((draw(5000, 300), draw(8, 300)), (draw(1000, 0), draw(8, 0))):
-            es = EigenSet(tuple((complex(v), 1) for v in reps), tol=1.0)
+            values = tuple((complex(v), 1) for v in reps)
             expected = np.array([[abs(complex(z) - complex(v)) for v in reps] for z in points])
-            assert es.distances(points).tobytes() == expected.tobytes()
             # np.abs rounds some of these differently, so it could not stand in for abs.
             assert (np.abs(points[:, None] - reps) != expected).any()
+            for z, row in zip(points, expected):
+                # a tolerance at the distance to one cluster makes that cluster a tie
+                es = EigenSet(values, tol=float(row[int(rng.integers(len(reps)))]))
+                want = [k for k, d in enumerate(row) if d <= es.tol]
+                assert es.near(complex(z)) == want
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert es.near(z) == want  # an np.complex128 point
 
-    def test_distances_give_inf_where_abs_overflows(self):
-        es = EigenSet(((0j, 1),), tol=1.0)
+    def test_an_overflowed_distance_is_not_a_member(self):
+        es = EigenSet(((0j, 1), (1 + 0j, 1)), tol=1.0)
+        z = complex(1.3e308, 1.3e308)
         with pytest.raises(OverflowError):
-            abs(complex(1.3e308, 1.3e308))
-        with np.errstate(over="ignore"):
-            assert es.distances([complex(1.3e308, 1.3e308)])[0, 0] == math.inf
+            abs(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert es.near(z) == es.near(np.complex128(z)) == []
+            assert not es.contains(z)
+        assert EigenSet(es.values, tol=math.inf).near(z) == [0, 1]
 
-    def test_batch_membership_agrees_with_contains_at_the_boundary(self):
+    def test_near_takes_a_tie_at_the_boundary(self):
         rng = np.random.default_rng(7)
         for z in rng.standard_normal(300) + 1j * rng.standard_normal(300):
             d = abs(complex(z) - 1.0)
             # z sits at exactly tol, then at the next float beyond it.
-            for tol in (d, np.nextafter(d, 0.0)):
-                es = EigenSet(((1.0 + 0j, 1),), tol=float(tol))
-                assert bool((es.distances([z]) <= es.tol).any()) == es.contains(z)
+            assert EigenSet(((1.0 + 0j, 1),), tol=d).near(z) == [0]
+            assert EigenSet(((1.0 + 0j, 1),), tol=float(np.nextafter(d, 0.0))).near(z) == []
+        # a wider point is rounded to a Python complex before the distance
+        wide = np.clongdouble(1) + np.clongdouble(2) ** -60
+        assert EigenSet(((1.0 + 0j, 1),), tol=0.0).near(wide) == [0]
 
 
 class TestSubspaceArithmetic:
