@@ -270,12 +270,12 @@ def _cmd_verify(args) -> int:
     )
     report = {
         "command": "verify",
-        "seed": result.seed,
-        "trials": result.trials,
-        "n_min": result.n_min,
-        "n_max": result.n_max,
-        "tol": result.tol,
-        "cluster_tol": result.cluster_tol,
+        "seed": args.seed,
+        "trials": args.trials,
+        "n_min": args.n_min,
+        "n_max": args.n_max,
+        "tol": args.tol,
+        "cluster_tol": args.cluster_tol,
         "passed": result.passed,
         "suites": [
             {
@@ -310,8 +310,8 @@ def _cmd_explore_sum(args) -> int:
         report = {
             "command": "explore-sum",
             "mode": "search",
-            "seed": result.seed,
-            "trials": result.trials,
+            "seed": args.seed,
+            "trials": args.trials,
             "tol": args.tol,
             "cluster_tol": args.cluster_tol,
             "direct_count": result.direct_count,

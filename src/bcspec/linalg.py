@@ -3,11 +3,12 @@
 Everything the componentwise bicomplex computations need: one rank
 decision behind singularity tests, nullspaces and column spaces, an
 eigensolver that clusters (value, count) pairs on one distance matrix and
-keeps the eigenvector of each simple eigenvalue, one membership rule
-(EigenSet.near), and subspace sum/intersection arithmetic.
+keeps the eigenvector of each simple eigenvalue, and one membership rule
+(EigenSet.near).
 Factorizations are numpy's LAPACK calls: one SVD of the matrix scaled by a
 power of two for each rank decision (see _svd), and one eig per matrix for
-its eigenvalues and eigenvectors.  Every norm and tolerance goes through
+its eigenvalues and eigenvectors (a second, of the scaled matrix, only where
+the first gives a non-finite value).  Every norm and tolerance goes through
 the same exact power-of-two scale (see _scaled), so none overflows while
 its true value is finite; no cluster merge overflows (see cluster_points).
 """
@@ -284,7 +285,11 @@ def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
 
     Each eig value enters cluster_points as a count-1 cluster, which it never
     moves, so each simple cluster's value is one eig value exactly and takes
-    that value's eigenvector column.  A non-finite eig value raises NonFiniteValueError.
+    that value's eigenvector column.  When eig gives a non-finite value, as
+    numpy does for some entries whose modulus exceeds float range, eig runs
+    again on s*A (see _scaled) and each part of its values is scaled back by
+    ldexp; a value still non-finite lies beyond float range and raises
+    NonFiniteValueError.
     """
     a = as_carray(a)
     n = _require_square(a, "eigenvalues")
@@ -293,38 +298,18 @@ def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
         return EigenSet((), tol)
     try:
         vals, vecs = np.linalg.eig(a)
+        if not np.isfinite(vals).all():
+            sa, s = _scaled(a)
+            vals, vecs = np.linalg.eig(sa)
+            # s = 2**-e with e = 1 - frexp(s)[1]; a part beyond float range becomes inf
+            with np.errstate(over="ignore"):
+                vals = np.ldexp(vals.view(np.float64), 1 - math.frexp(s)[1]).view(np.complex128)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    if not np.isfinite(vals).all():  # eig's NaN for some entries whose modulus exceeds float range
+    if not np.isfinite(vals).all():
         raise NonFiniteValueError("eig gave a non-finite eigenvalue of a finite matrix")
     points = vals.tolist()
     clusters = tuple(cluster_points([(v, 1) for v in points], tol))
     column = {v: k for k, v in enumerate(points)}
     return EigenSet(clusters, tol, tuple(vecs[:, column[v]] if m == 1 else None for v, m in clusters))
 
-
-def subspace_sum(u: CSubspace, w: CSubspace, tol: float = DEFAULT_TOL) -> CSubspace:
-    """Smallest subspace containing both operands."""
-    if u.ambient_dim != w.ambient_dim:
-        raise ValueError("subspace sum needs a common ambient space")
-    if u.dim == 0:
-        return CSubspace(w.ambient_dim, w.basis.copy())
-    if w.dim == 0:
-        return CSubspace(u.ambient_dim, u.basis.copy())
-    stacked = np.hstack([u.basis, w.basis])
-    return column_space(stacked, tol)
-
-
-def subspace_intersection(u: CSubspace, w: CSubspace, tol: float = DEFAULT_TOL) -> CSubspace:
-    """Intersection via the nullspace of the stacked-basis system [U | -W]."""
-    if u.ambient_dim != w.ambient_dim:
-        raise ValueError("subspace intersection needs a common ambient space")
-    if u.dim == 0 or w.dim == 0:
-        return CSubspace.zero(u.ambient_dim)
-    stacked = np.hstack([u.basis, -w.basis])
-    coeffs = nullspace(stacked, tol)
-    if coeffs.dim == 0:
-        return CSubspace.zero(u.ambient_dim)
-    vectors = u.basis @ coeffs.basis[: u.dim, :]
-    ortho, _ = np.linalg.qr(vectors)
-    return CSubspace(u.ambient_dim, ortho)

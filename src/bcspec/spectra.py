@@ -48,11 +48,10 @@ from .linalg import (
     EigenSet,
     as_carray,
     cluster_points,
+    column_space,
     eigenvalues,
     frobenius,
     nullspace,
-    subspace_intersection,
-    subspace_sum,
 )
 from .operators import BicomplexOperator, BicomplexVector, assemble_pair_basis
 
@@ -294,10 +293,12 @@ def modified_eigenspace(report: SpectrumReport, kappa: Bicomplex) -> ModifiedEig
 class EigenspaceSumReport:
     """Dimensions of the sum and intersection of two modified eigenspaces.
 
-    Computed per idempotent component (both spaces split componentwise), so
-    sum_dim and intersection_dim are sums over the two sides.  is_direct
-    states the computed finding for this pair only; nothing is claimed about
-    whether such sums are direct in general.
+    Both spaces split componentwise, so sum_dim is the sum over the two
+    sides of one rank test each, the rank of the stacked bases [U W].  The
+    intersection follows by Grassmann's formula,
+    dim_first + dim_second - sum_dim, and the sum is direct iff that is 0.
+    is_direct states the computed finding for this pair only; nothing is
+    claimed about whether such sums are direct in general.
     """
 
     kappa: Bicomplex
@@ -316,14 +317,11 @@ def eigenspace_sum(
         raise InvalidArgumentError("the two modified eigenvalues must differ")
     first = modified_eigenspace(report, kappa)
     second = modified_eigenspace(report, kappa_prime)
-    sum_dim = 0
-    inter_dim = 0
-    for a, b in (
-        (first.minus_basis, second.minus_basis),
-        (first.plus_basis, second.plus_basis),
-    ):
-        sum_dim += subspace_sum(a, b, tol).dim
-        inter_dim += subspace_intersection(a, b, tol).dim
+    sum_dim = sum(
+        column_space(np.hstack([a.basis, b.basis]), tol).dim
+        for a, b in ((first.minus_basis, second.minus_basis), (first.plus_basis, second.plus_basis))
+    )
+    inter_dim = first.dim + second.dim - sum_dim
     return EigenspaceSumReport(
         kappa=kappa,
         kappa_prime=kappa_prime,

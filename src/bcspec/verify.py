@@ -72,12 +72,6 @@ class SuiteResult:
 
 @dataclass
 class VerifyReport:
-    seed: int
-    trials: int
-    n_min: int
-    n_max: int
-    tol: float
-    cluster_tol: float
     suites: list[SuiteResult]
 
     @property
@@ -141,6 +135,12 @@ def _check_sampling(seed: int, n_min: int, n_max: int) -> None:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     if not (1 <= n_min <= n_max):
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
+
+
+def _analysed(rng, n: int, profile: str, cluster_tol: float):
+    """(planted, report): a random operator of the profile, drawn from rng.child(0), and its analysis."""
+    planted = random_operator(rng.child(0), n, profile)
+    return planted, component_spectra(planted.operator, cluster_tol)
 
 
 def _residual_bound(op: BicomplexOperator, cluster_tol: float) -> float:
@@ -253,9 +253,8 @@ def _suite_operator_singularity(check, rng, n, tol, cluster_tol):
 
 
 def _suite_shift_singularity(check, rng, n, tol, cluster_tol):
-    planted = random_operator(rng.child(0), n, "shared-eigenvalue")
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+    op = report.op
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
     far2 = _far_scalar(gen, report.upsilon1, report.upsilon2)
@@ -276,9 +275,8 @@ def _suite_shift_singularity(check, rng, n, tol, cluster_tol):
 
 
 def _suite_eigenvalue_criterion(check, rng, n, tol, cluster_tol):
-    planted = random_operator(rng.child(0), n, "shared-eigenvalue")
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    planted, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+    op = report.op
     gen = rng.generator()
     lams = (
         report.upsilon1.value_list()
@@ -293,9 +291,8 @@ def _suite_eigenvalue_criterion(check, rng, n, tol, cluster_tol):
 
 
 def _suite_modified_criterion(check, rng, n, tol, cluster_tol):
-    planted = random_operator(rng.child(0), n, "shared-eigenvalue")
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+    op = report.op
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
     far2 = _far_scalar(gen, report.upsilon1, report.upsilon2)
@@ -319,9 +316,7 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol):
 
 
 def _suite_containment(check, rng, n, tol, cluster_tol):
-    planted = random_operator(rng.child(0), n, "shared-eigenvalue")
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
     rec = contains_idempotent_product(report)
     for pair in rec.pairs:
         check(pair.case is ModifiedCase.BOTH, f"grid pair {pair.kappa} not tagged Both")
@@ -336,9 +331,8 @@ def _suite_containment(check, rng, n, tol, cluster_tol):
 
 
 def _suite_infinite_family(check, rng, n, tol, cluster_tol):
-    planted = random_operator(rng.child(0), n, "shared-eigenvalue")
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+    op = report.op
     gen = rng.generator()
     samples = [0.0, complex(complex_normal(gen)) * 3.0, complex(complex_normal(gen)) * 30.0]
     base1 = report.upsilon1.value_list()[0]
@@ -361,9 +355,8 @@ def _suite_infinite_family(check, rng, n, tol, cluster_tol):
 
 
 def _suite_cylinder_structure(check, rng, n, tol, cluster_tol):
-    planted = random_operator(rng.child(0), n, "shared-eigenvalue")
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+    op = report.op
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
     kappas = [
@@ -384,9 +377,8 @@ def _suite_cylinder_structure(check, rng, n, tol, cluster_tol):
 def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
     trial = rng.stream[-1]
     profile = ("shared-eigenvalue", "defective", "rank-deficient")[trial % 3]
-    planted = random_operator(rng.child(0), n, profile)
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    _, report = _analysed(rng, n, profile, cluster_tol)
+    op = report.op
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
     far2 = _far_scalar(gen, report.upsilon1, report.upsilon2)
@@ -432,9 +424,7 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
 
 
 def _suite_existence(check, rng, n, tol, cluster_tol):
-    planted = random_operator(rng.child(0), n, "generic")
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    _, report = _analysed(rng, n, "generic", cluster_tol)
     check(len(report.eigenvalues_of_T.values) > 0, "eigenvalue set empty")
     check(
         len(report.upsilon1.values) > 0 or len(report.upsilon2.values) > 0,
@@ -447,9 +437,8 @@ def _suite_existence(check, rng, n, tol, cluster_tol):
 def _suite_block_spectrum(check, rng, n, tol, cluster_tol):
     trial = rng.stream[-1]
     profile = ("generic", "shared-eigenvalue", "defective")[trial % 3]
-    planted = random_operator(rng.child(0), n, profile)
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    _, report = _analysed(rng, n, profile, cluster_tol)
+    op = report.op
     block = block_embed(op)
     block_eigs = list(np.linalg.eigvals(block))
     expected = report.upsilon1.multiset() + report.upsilon2.multiset()
@@ -461,9 +450,8 @@ def _suite_block_spectrum(check, rng, n, tol, cluster_tol):
 
 
 def _suite_similarity_invariance(check, rng, n, tol, cluster_tol):
-    planted = random_operator(rng.child(0), n, "shared-eigenvalue")
-    op = planted.operator
-    report = component_spectra(op, cluster_tol)
+    planted, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+    op = report.op
     gen = rng.generator()
     # well-conditioned by construction: unitary * diag(0.5..2) * unitary
     q1, _ = np.linalg.qr(complex_normal(gen, (n, n)))
@@ -585,15 +573,7 @@ def run_verify(
                 if len(result.messages) < MAX_MESSAGES:
                     result.messages.extend(chk.messages[: MAX_MESSAGES - len(result.messages)])
         results.append(result)
-    return VerifyReport(
-        seed=seed,
-        trials=trials,
-        n_min=n_min,
-        n_max=n_max,
-        tol=tol,
-        cluster_tol=cluster_tol,
-        suites=results,
-    )
+    return VerifyReport(results)
 
 
 @dataclass
@@ -604,8 +584,6 @@ class SumSearchReport:
     operators and pairs.
     """
 
-    seed: int
-    trials: int
     direct_count: int
     non_direct_count: int
     witnesses: list[dict]
@@ -668,10 +646,4 @@ def run_sum_search(
                         "intersection_dim": res.intersection_dim,
                     }
                 )
-    return SumSearchReport(
-        seed=seed,
-        trials=trials,
-        direct_count=direct,
-        non_direct_count=non_direct,
-        witnesses=witnesses,
-    )
+    return SumSearchReport(direct, non_direct, witnesses)

@@ -484,24 +484,38 @@ class TestErrorHandling:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize(
-        "t1",
-        [[[[1.5e308, 1.5e308]]], [[[1.5e308, 1.5e308], [0, 0]], [[0, 0], [1, 0]]]],
-        ids=["1x1", "2x2"],
-    )
+    @pytest.mark.parametrize("t1", [[[[1.7e308, 0]] * 2] * 2], ids=["2x2"])
     @pytest.mark.parametrize(
         "argv", [["spectrum"], ["modified", "--kappa", '{"idem":[1.5e308,1.5e308,0,0]}']], ids=["spectrum", "modified"]
     )
     def test_non_finite_eigenvalues_exit_2(self, capsys, t1, argv):
-        # eig gives NaN for an entry whose modulus exceeds the float range.  A
-        # stale ERANGE in the C errno makes Python's abs of a NaN complex raise
-        # OverflowError, so provoke one: the verdict must not depend on it.
+        # Every entry is finite, but the eigenvalue 3.4e308 is beyond the float
+        # range.  A stale ERANGE in the C errno makes Python's abs of a NaN
+        # complex raise OverflowError, so provoke one: the verdict must not
+        # depend on it.
         op = {"t1": t1, "t2": [[[0, 0]] * len(t1)] * len(t1)}
         with pytest.raises(OverflowError):
             math.exp(1000)
         code, out, err = run_cli(capsys, argv[0], "--input", json.dumps(op), *argv[1:])
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: eig gave a non-finite eigenvalue of a finite matrix"]
+
+    def test_top_of_range_eigenvalue_spectrum(self, capsys):
+        # eig gives NaN for 1.5e308 + 1.5e308i, whose modulus exceeds the float
+        # range; the eigenvalue itself is representable and is reported
+        op = '{"t1":[[[1.5e308,1.5e308]]],"t2":[[[0,0]]]}'
+        code, out, _ = run_cli(capsys, "spectrum", "--input", op)
+        report = json.loads(out)
+        assert code == 0
+        assert report["upsilon1"] == [{"value": [1.5e308, 1.5e308], "multiplicity": 1}]
+        assert [(s["dimension"], s["max_residual"]) for s in report["eigenspaces"]] == [(1, 0.0), (1, 0.0)]
+
+    def test_top_of_range_eigenvalue_modified(self, capsys):
+        op = '{"t1":[[[1.5e308,1.5e308]]],"t2":[[[0,0]]]}'
+        code, out, _ = run_cli(capsys, "modified", "--input", op, "--kappa", '{"idem":[1.5e308,1.5e308,0,0]}')
+        report = json.loads(out)
+        assert code == 0
+        assert (report["case"], report["dimension"]) == ("Both", 2)
 
     def test_idempotent_overflow_names_the_conversion(self, capsys):
         # every real coefficient is finite; z1 + i*z2 = 1e308 + 1e308 is not

@@ -9,17 +9,18 @@ import numpy as np
 import pytest
 
 from bcspec import (
+    Bicomplex,
+    BicomplexOperator,
     ConvergenceError,
-    CSubspace,
     EigenSet,
     NonFiniteValueError,
     NonSquareError,
+    component_spectra,
+    eigenspace_sum,
     eigenvalues,
     is_singular_matrix,
     nullspace,
     column_space,
-    subspace_intersection,
-    subspace_sum,
 )
 from bcspec.core import DEFAULT_TOL
 from bcspec.linalg import cluster_points, cluster_tolerance, frobenius
@@ -171,9 +172,14 @@ class TestEigenDecompose:
         assert len({es, bare}) == 1
 
     def test_a_non_finite_eig_value_is_refused(self):
-        # finite entries, but |1.5e308 + 1.5e308i| exceeds the float range: eig gives NaN
+        # finite entries, but the eigenvalue 3.4e308 exceeds the float range
         with pytest.raises(NonFiniteValueError, match="non-finite eigenvalue"):
-            eigenvalues(np.array([[1.5e308 + 1.5e308j]]))
+            eigenvalues(np.full((2, 2), 1.7e308))
+        # |1.5e308 + 1.5e308i| exceeds the float range and eig gives NaN, but
+        # the eigenvalue itself is representable: the scaled eig finds it
+        es = eigenvalues(np.array([[1.5e308 + 1.5e308j]]))
+        assert es.values == ((1.5e308 + 1.5e308j, 1),)
+        assert es.vectors[0].tolist() == [1.0]
 
     def test_empty_spectrum_impossible(self):
         # complex matrices always carry at least one eigenvalue
@@ -552,41 +558,38 @@ class TestClustering:
 
 
 class TestSubspaceArithmetic:
+    """eigenspace_sum: one rank test per side, the intersection by Grassmann's formula."""
+
+    @staticmethod
+    def _sum(t1, t2, kappa, kappa_prime):
+        op = BicomplexOperator(np.asarray(t1, dtype=complex), np.asarray(t2, dtype=complex))
+        return eigenspace_sum(component_spectra(op), kappa, kappa_prime)
+
     def test_sum_and_intersection_of_planes(self):
-        e = np.eye(3, dtype=complex)
-        u = CSubspace(3, e[:, :2])    # span{e0, e1}
-        w = CSubspace(3, e[:, 1:])    # span{e1, e2}
-        assert subspace_sum(u, w).dim == 3
-        inter = subspace_intersection(u, w)
-        assert inter.dim == 1
-        assert inter.contains(e[:, 1])
+        # both kappas share the minus space span{e0}; the plus spaces differ
+        rep = self._sum(np.diag([1, 0, 0]), np.diag([2, 3, 3]), Bicomplex(1, 2), Bicomplex(1, 3))
+        assert (rep.dim_first, rep.dim_second) == (2, 3)
+        assert (rep.sum_dim, rep.intersection_dim, rep.is_direct) == (4, 1, False)
 
     def test_zero_cases(self):
-        z = CSubspace.zero(4)
-        f = CSubspace.full(4)
-        assert subspace_sum(z, f).dim == 4
-        assert subspace_intersection(z, f).dim == 0
-        assert subspace_sum(z, z).dim == 0
-
-    def test_dimension_formula(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(2, 7))
-            ku = int(rng.integers(0, n + 1))
-            kw = int(rng.integers(0, n + 1))
-            u = column_space(_complex_gauss(rng, (n, ku))) if ku else CSubspace.zero(n)
-            w = column_space(_complex_gauss(rng, (n, kw))) if kw else CSubspace.zero(n)
-            s = subspace_sum(u, w).dim
-            i = subspace_intersection(u, w).dim
-            assert u.dim + w.dim == s + i
+        t1, t2 = np.diag([1, 0, 0]), np.diag([2, 3, 3])
+        # opposite one-sided kappas: each side stacks a space with {0}
+        rep = self._sum(t1, t2, Bicomplex(1, 7), Bicomplex(5, 3))
+        assert (rep.dim_first, rep.dim_second) == (1, 2)
+        assert (rep.sum_dim, rep.intersection_dim, rep.is_direct) == (3, 0, True)
+        # both plus sides are {0}: the stacked basis has no column
+        rep = self._sum(t1, t2, Bicomplex(1, 7), Bicomplex(0, 8))
+        assert (rep.dim_first, rep.dim_second) == (1, 2)
+        assert (rep.sum_dim, rep.intersection_dim, rep.is_direct) == (3, 0, True)
 
     def test_intersection_of_same_space(self):
+        # the same two-dimensional minus space twice, of a non-normal t1
         rng = np.random.default_rng(41)
-        u = column_space(_complex_gauss(rng, (5, 2)))
-        inter = subspace_intersection(u, u)
-        assert inter.dim == u.dim
-        for v in u.vectors():
-            assert inter.contains(v)
+        p = _complex_gauss(rng, (5, 5))
+        t1 = p @ np.diag([0, 0, 1, 2, 3]) @ np.linalg.inv(p)
+        rep = self._sum(t1, 9 * np.eye(5), Bicomplex(0, 7), Bicomplex(0, 8))
+        assert (rep.dim_first, rep.dim_second) == (2, 2)
+        assert (rep.sum_dim, rep.intersection_dim, rep.is_direct) == (2, 2, False)
 
 
 def test_convergence_error_type_exists():

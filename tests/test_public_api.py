@@ -19,6 +19,8 @@ def test_unused_api_stays_deleted():
     assert {"operator_add", "operator_neg", "operator_scale", "operator_scale_bc"}.isdisjoint(dir(bcspec))
     assert not hasattr(CSubspace, "gram_defect")
     assert not hasattr(EigenSet, "total_multiplicity")
+    # eigenspace_sum decides one rank per side; nothing else took a subspace sum or intersection
+    assert {"subspace_sum", "subspace_intersection"}.isdisjoint(dir(bcspec) + dir(bcspec.linalg))
 
 
 def test_readme_python_example_runs(ex_op):

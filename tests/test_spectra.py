@@ -23,7 +23,14 @@ from bcspec import (
 import bcspec.linalg
 import bcspec.spectra
 from bcspec.linalg import cluster_tolerance
-from bcspec.oracle import PROFILES, Rng, brute_modified_eigenspace, random_operator, residual
+from bcspec.oracle import (
+    PROFILES,
+    Rng,
+    brute_modified_eigenspace,
+    elimination_nullspace,
+    random_operator,
+    residual,
+)
 
 
 def _values(eigenset):
@@ -397,6 +404,36 @@ class TestEigenspaceSum:
     def test_dimension_formula_holds(self, ex_op):
         rep = eigenspace_sum(component_spectra(ex_op), Bicomplex(1.0, 1.0), Bicomplex(0.0, 5.0))
         assert rep.sum_dim + rep.intersection_dim == rep.dim_first + rep.dim_second
+
+    def test_dimensions_match_the_block_oracle(self):
+        # 600 pairs drawn like explore-sum --search draws them, on four profiles:
+        # every dimension against the block-embedding nullspaces, the
+        # intersection as the nullity of [B1 | -B2] by elimination.
+        draw = np.random.default_rng(1515)
+        profiles = ("shared-eigenvalue", "defective", "rank-deficient", "generic")
+        non_direct = 0
+        mismatches = []
+        for trial in range(600):
+            op = random_operator(Rng(1515, (trial,)), 2 + trial % 7, profiles[trial % 4]).operator
+            report = component_spectra(op)
+            u1, u2 = report.upsilon1.value_list(), report.upsilon2.value_list()
+            far = (2.0 + 1.0j) * (1.0 + max(abs(v) for v in u1 + u2))
+            pool = [Bicomplex(v, far) for v in u1] + [Bicomplex(-far, v) for v in u2]
+            pool += [Bicomplex(v, w) for v in u1[:2] for w in u2[:2]]
+            i, j = draw.choice(len(pool), size=2, replace=False)
+            kappa, kappa_prime = pool[i], pool[j]
+            rep = eigenspace_sum(report, kappa, kappa_prime)
+            b1 = brute_modified_eigenspace(op, kappa).basis
+            b2 = brute_modified_eigenspace(op, kappa_prime).basis
+            inter = elimination_nullspace(np.hstack([b1, -b2]), 1e-8).shape[1]
+            oracle = (b1.shape[1], b2.shape[1], b1.shape[1] + b2.shape[1] - inter, inter)
+            got = (rep.dim_first, rep.dim_second, rep.sum_dim, rep.intersection_dim)
+            if got != oracle:
+                mismatches.append((trial, got, oracle))
+            assert rep.is_direct == (rep.intersection_dim == 0)
+            non_direct += not rep.is_direct
+        assert mismatches == []
+        assert non_direct >= 100
 
 
 class TestResidualInvariant:

@@ -64,7 +64,7 @@ def test_sum_search_deterministic_and_well_formed():
         b.non_direct_count,
         b.witnesses,
     )
-    assert a.direct_count + a.non_direct_count <= a.trials
+    assert a.direct_count + a.non_direct_count <= 12
     for w in a.witnesses:
         assert w["intersection_dim"] > 0
         assert w["sum_dim"] + w["intersection_dim"] == w["dim_first"] + w["dim_second"]
