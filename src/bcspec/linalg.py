@@ -5,12 +5,12 @@ decision behind singularity tests, nullspaces and column spaces, an
 eigensolver that clusters (value, count) pairs on one distance matrix and
 keeps the eigenvector of each simple eigenvalue, and one membership rule
 (EigenSet.near).
-Factorizations are numpy's LAPACK calls: one SVD of the matrix scaled by a
-power of two for each rank decision (see _svd), and one eig per matrix for
-its eigenvalues and eigenvectors (a second, of the scaled matrix, only where
-the first gives a non-finite value).  Every norm and tolerance goes through
-the same exact power-of-two scale (see _scaled), so none overflows while
-its true value is finite; no cluster merge overflows (see cluster_points).
+Factorizations are numpy's LAPACK calls on the matrix scaled by a power of
+two (see _scaled): one SVD for each rank decision (see _svd), and one eig
+per matrix for its eigenvalues and eigenvectors.  Every norm and tolerance
+goes through the same exact scale, so none overflows while its true value
+is finite; no cluster merge overflows (see cluster_points), and each merge
+is recorded in the members of the cluster it makes.
 """
 
 from __future__ import annotations
@@ -114,15 +114,17 @@ class EigenSet:
 
     Representatives are pairwise separated by more than tol, the absolute
     tolerance the set was clustered at and decides membership with (near),
-    and multiplicities sum to the matrix dimension.  vectors, aligned with
-    values, holds the unit eigenvector of each simple cluster as eig
-    returned it and None for every other cluster; it is all None when the
-    set was not computed by eigenvalues, and equality and hashing ignore it.
+    and multiplicities sum to the matrix dimension.  Aligned with values,
+    vectors holds each simple cluster's unit eig vector, else None (all None
+    unless computed by eigenvalues), and members the input clusters a union
+    merged into each (see SpectrumReport.eigenvalues_of_T; else empty).
+    Equality and hashing ignore both.
     """
 
     values: tuple[tuple[complex, int], ...]
     tol: float
     vectors: tuple[np.ndarray | None, ...] = field(default=(), compare=False, repr=False)
+    members: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not self.vectors:
@@ -229,16 +231,17 @@ def _moduli(z: np.ndarray, w) -> np.ndarray:
         return np.hypot(d, z.imag - w.imag, out=d)
 
 
-def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int]]:
-    """Agglomerate (value, count) clusters, the pairs it returns, whose finite values sit within tol_abs.
+def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int, tuple[int, ...]]]:
+    """Agglomerate (value, count) clusters whose finite values sit within tol_abs.
 
     Each step merges the closest pair a, b into their count-weighted mean
     a + (b - a) * n_b / (n_a + n_b), which lies between a and b, so it never
     overflows and is exactly a when b == a; a pair whose distance overflows
     is never merged.  A tie goes to the first pair in (i, j) list order, and
-    the merged cluster takes i's place.  Merging stops once the closest pair
-    is farther apart than tol_abs.  Returns (representative, count) pairs,
-    pairwise separated by more than tol_abs, sorted by (real, imag).
+    the merged cluster takes i's place and j's input indices.  Merging stops
+    once the closest pair is farther apart than tol_abs.  Returns
+    (representative, count, input indices) triples, pairwise separated by
+    more than tol_abs, sorted by (real, imag).
 
     The distances are one k-by-k matrix, inf on and below the diagonal and
     for merged-away clusters, whose row-major argmin is the closest pair, the
@@ -247,9 +250,10 @@ def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int]]:
     """
     reps = [complex(v) for v, _ in clusters]
     counts = [m for _, m in clusters]
+    members = [(i,) for i in range(len(reps))]
     k = len(reps)
     if k <= 1:
-        return list(zip(reps, counts))
+        return list(zip(reps, counts, members))
     z = np.array(reps)
     dist = _moduli(z[:, None], z)
     dist[np.tri(k, dtype=bool)] = np.inf
@@ -260,6 +264,7 @@ def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int]]:
             break
         counts[i] += counts[j]
         reps[i] += (reps[j] - reps[i]) * (counts[j] / counts[i])
+        members[i] += members[j]
         z[i] = reps[i]
         live[j] = False
         dist[j, :] = dist[:, j] = np.inf
@@ -267,7 +272,7 @@ def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int]]:
         row[~live] = np.inf
         dist[i, i + 1 :] = row[i + 1 :]
         dist[:i, i] = row[:i]
-    return sorted(((reps[i], counts[i]) for i in np.flatnonzero(live)), key=lambda vc: (vc[0].real, vc[0].imag))
+    return sorted(((reps[i], counts[i], members[i]) for i in np.flatnonzero(live)), key=lambda c: (c[0].real, c[0].imag))
 
 
 def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
@@ -281,35 +286,26 @@ def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
 
 
 def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
-    """Clustered spectrum of a square matrix, from one eig; its tol is the cluster tolerance of a.
+    """Clustered spectrum of a square matrix, from one eig of s*A (see _scaled); its tol is the cluster tolerance of a.
 
-    Each eig value enters cluster_points as a count-1 cluster, which it never
-    moves, so each simple cluster's value is one eig value exactly and takes
-    that value's eigenvector column.  When eig gives a non-finite value, as
-    numpy does for some entries whose modulus exceeds float range, eig runs
-    again on s*A (see _scaled) and each part of its values is scaled back by
-    ldexp; a value still non-finite lies beyond float range and raises
-    NonFiniteValueError.
+    Each part of the values is scaled back by ldexp, exactly unless it
+    underflows, so eig gives 2**k * A exactly 2**k times A's values when
+    neither holds a subnormal part; a value beyond float range raises
+    NonFiniteValueError.  A simple cluster takes its one value's eig vector.
     """
     a = as_carray(a)
-    n = _require_square(a, "eigenvalues")
+    _require_square(a, "eigenvalues")
     tol = cluster_tolerance(a, cluster_tol)
-    if n == 0:
-        return EigenSet((), tol)
+    sa, s = _scaled(a)
     try:
-        vals, vecs = np.linalg.eig(a)
-        if not np.isfinite(vals).all():
-            sa, s = _scaled(a)
-            vals, vecs = np.linalg.eig(sa)
-            # s = 2**-e with e = 1 - frexp(s)[1]; a part beyond float range becomes inf
-            with np.errstate(over="ignore"):
-                vals = np.ldexp(vals.view(np.float64), 1 - math.frexp(s)[1]).view(np.complex128)
+        vals, vecs = np.linalg.eig(sa)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    # s = 2**-e with e = 1 - frexp(s)[1]; a part beyond float range becomes inf
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(vals.view(np.float64), 1 - math.frexp(s)[1]).view(np.complex128)
     if not np.isfinite(vals).all():
         raise NonFiniteValueError("eig gave a non-finite eigenvalue of a finite matrix")
-    points = vals.tolist()
-    clusters = tuple(cluster_points([(v, 1) for v in points], tol))
-    column = {v: k for k, v in enumerate(points)}
-    return EigenSet(clusters, tol, tuple(vecs[:, column[v]] if m == 1 else None for v, m in clusters))
-
+    clusters = cluster_points([(v, 1) for v in vals.tolist()], tol)
+    vectors = tuple(vecs[:, idx[0]] if m == 1 else None for _, m, idx in clusters)
+    return EigenSet(tuple((v, m) for v, m, _ in clusters), tol, vectors)

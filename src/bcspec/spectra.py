@@ -102,10 +102,11 @@ class SpectrumReport:
         at the smaller of the two tolerances, so a value of one side merges
         with a value of the other only when each lies within the other side's
         tol, and an eigenvalue that only one side has keeps that side's value
-        bit for bit.
+        bit for bit.  Its members index Y1.values + Y2.values, Y1's first.
         """
         tol = min(self.upsilon1.tol, self.upsilon2.tol)
-        return EigenSet(tuple(cluster_points(self.upsilon1.values + self.upsilon2.values, tol)), tol)
+        clusters = cluster_points(self.upsilon1.values + self.upsilon2.values, tol)
+        return EigenSet(tuple((v, m) for v, m, _ in clusters), tol, members=tuple(idx for *_, idx in clusters))
 
     def is_eigenvalue(self, lam) -> bool:
         """lambda is an eigenvalue of T iff it lies in Y1 ∪ Y2."""
@@ -121,11 +122,13 @@ class SpectrumReport:
     def eigenspaces(self) -> Iterator[ModifiedEigenspace]:
         """The eigenspace of each eigenvalue lambda of T, in the order of eigenvalues_of_T.
 
-        Each is modified_eigenspace of lambda*e1 + lambda*e2; the spaces are
-        made one at a time and not kept.
+        Each is modified_eigenspace of lambda*e1 + lambda*e2 on just the side
+        clusters merged into lambda; the spaces are made one at a time and not kept.
         """
-        for lam in self.eigenvalues_of_T.value_list():
-            yield modified_eigenspace(self, Bicomplex.from_complex(lam))
+        union, k1 = self.eigenvalues_of_T, len(self.upsilon1.values)
+        for lam, idx in zip(union.value_list(), union.members):
+            sides = ([i for i in idx if i < k1], [i - k1 for i in idx if i >= k1])
+            yield modified_eigenspace(self, Bicomplex.from_complex(lam), clusters=sides)
 
     def symbolic(self) -> str:
         """The modified spectrum as a union of two cylinders: (Y1 xe C1) ∪ (C1 xe Y2)."""
@@ -256,14 +259,12 @@ class ModifiedEigenspace:
         return worst
 
 
-def _side_space(es: EigenSet, t: np.ndarray, z: complex) -> CSubspace | None:
-    """The eigenspace of z in t, whose spectrum is es; None when no cluster of es is within es.tol.
+def _side_space(es: EigenSet, t: np.ndarray, z: complex, near: list[int]) -> CSubspace | None:
+    """The eigenspace of z in t, whose spectrum is es, from the clusters near of es; None when near is empty.
 
-    The one choice of route, from one es.near(z) query: the eig vector es
-    keeps when exactly one cluster is near and it is simple, else the
+    The eig vector es keeps when near is one simple cluster, else the
     nullspace of t - zI at threshold es.tol.
     """
-    near = es.near(z)
     if not near:
         return None
     if len(near) == 1 and es.vectors[near[0]] is not None:
@@ -273,15 +274,18 @@ def _side_space(es: EigenSet, t: np.ndarray, z: complex) -> CSubspace | None:
     return nullspace(shifted, threshold=es.tol)
 
 
-def modified_eigenspace(report: SpectrumReport, kappa: Bicomplex) -> ModifiedEigenspace:
+def modified_eigenspace(report: SpectrumReport, kappa: Bicomplex, clusters=None) -> ModifiedEigenspace:
     """Component eigenspaces of kappa assembled per the case structure.
 
     Each side comes from _side_space, {0} where kappa^- (kappa^+) is not an
-    eigenvalue of t1 (t2); the case says which sides are nonempty.
+    eigenvalue of t1 (t2); the case says which sides are nonempty.  A side's
+    clusters are those within its tol of kappa^- (kappa^+), the cylinder
+    rule, or the (Y1, Y2) index lists clusters, which only eigenspaces passes.
     """
     op = report.op
-    minus = _side_space(report.upsilon1, op.t1, kappa.minus)
-    plus = _side_space(report.upsilon2, op.t2, kappa.plus)
+    near = clusters if clusters is not None else (report.upsilon1.near(kappa.minus), report.upsilon2.near(kappa.plus))
+    minus = _side_space(report.upsilon1, op.t1, kappa.minus, near[0])
+    plus = _side_space(report.upsilon2, op.t2, kappa.plus, near[1])
     case = _case(minus is not None, plus is not None)
     if case is None:
         raise NotModifiedEigenvalueError(f"{kappa} is not a modified eigenvalue")

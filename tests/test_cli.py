@@ -215,6 +215,39 @@ class TestSpectrum:
         assert sorted(e["multiplicity"] for e in sides) == [1] * 8 + [4, 4, 8, 8]
         assert report["eigenvalues"] == sides
 
+    # t1 = diag(1e9, 1), t2 = diag(1, 1.5): t1's tol (about 10) covers 1.5, t2's does not
+    SCALED_SIDE_OP = '{"t1":[[[1e9,0],[0,0]],[[0,0],[1,0]]],"t2":[[[1,0],[0,0]],[[0,0],[1.5,0]]]}'
+
+    @staticmethod
+    def _spaces(report):
+        return [(e["value"], e["dimension"], e["max_residual"]) for e in report["eigenspaces"]]
+
+    def test_each_side_cluster_feeds_one_eigenvalue(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--input", self.SCALED_SIDE_OP)
+        report = json.loads(out)
+        assert code == 0
+        assert [(e["value"], e["multiplicity"]) for e in report["eigenvalues"]] == [
+            ([1.0, 0.0], 2), ([1.5, 0.0], 1), ([1e9, 0.0], 1)
+        ]
+        assert self._spaces(report) == [([1.0, 0.0], 2, 0.0), ([1.5, 0.0], 1, 0.0), ([1e9, 0.0], 1, 0.0)]
+
+    def test_an_arbitrary_kappa_is_decided_per_side(self, capsys):
+        # The cylinder rule: 1.5 is within t1's own tol of t1's eigenvalue 1,
+        # so eigenspace takes that eigenvector, where spectrum does not.
+        code, out, _ = run_cli(capsys, "eigenspace", "--input", self.SCALED_SIDE_OP, "--lam", "[1.5,0]")
+        report = json.loads(out)
+        assert code == 0
+        assert (report["case"], report["dimension"], report["max_residual"]) == ("Both", 2, 0.5)
+
+    def test_top_of_range_side_cluster_feeds_one_eigenvalue(self, capsys):
+        # 0 lies within t1's tol (about 2e300) of t1's eigenvalue 1
+        op = '{"t1":[[[1.5e308,1.5e308],[0,0]],[[0,0],[1,0]]],"t2":[[[0,0],[0,0]],[[0,0],[0,0]]]}'
+        code, out, _ = run_cli(capsys, "spectrum", "--input", op)
+        report = json.loads(out)
+        assert code == 0
+        assert [e["multiplicity"] for e in report["eigenvalues"]] == [2, 1, 1]
+        assert self._spaces(report) == [([0.0, 0.0], 2, 0.0), ([1.0, 0.0], 1, 0.0), ([1.5e308, 1.5e308], 1, 0.0)]
+
 
 def _matrix_json(t) -> list:
     return np.stack([t.real, t.imag], axis=-1).tolist()
@@ -638,7 +671,8 @@ class TestOutputModes:
         code, out, err = run_cli(capsys, "spectrum", "--input", op)
         assert code == 0, err
         report = json.loads(out, parse_constant=self._reject)
-        assert [e["value"] for e in report["eigenvalues"]] == [[-2.0, 6.6], [1.7e308, 2.5000000000000004]]
+        # eig runs on the matrix scaled by 2**-1024, which is exact, so the 1x1 side keeps its entry
+        assert [e["value"] for e in report["eigenvalues"]] == [[-2.0, 6.6], [1.7e308, 2.5]]
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_non_finite_report_exit_2(self, capsys, fmt):

@@ -361,7 +361,7 @@ class TestOneScale:
 
 def _scan_cluster_points(clusters, tol_abs):
     """The O(k^3) closest-pair scan cluster_points replaces, kept as its reference."""
-    clusters = [[complex(v), m] for v, m in clusters]
+    clusters = [[complex(v), m, (i,)] for i, (v, m) in enumerate(clusters)]
     while len(clusters) > 1:
         best = (math.inf, -1, -1)
         for i in range(len(clusters)):
@@ -377,9 +377,9 @@ def _scan_cluster_points(clusters, tol_abs):
             break
         ci, cj = clusters[i], clusters[j]
         total = ci[1] + cj[1]
-        clusters[i] = [ci[0] + (cj[0] - ci[0]) * (cj[1] / total), total]
+        clusters[i] = [ci[0] + (cj[0] - ci[0]) * (cj[1] / total), total, ci[2] + cj[2]]
         del clusters[j]
-    merged = [(rep, count) for rep, count in clusters]
+    merged = [tuple(c) for c in clusters]
     merged.sort(key=lambda vc: (vc[0].real, vc[0].imag))
     return merged
 
@@ -429,8 +429,17 @@ def _planted_case(rng):
 
 
 def _bits(clusters):
-    """(representative, count) pairs with the representative as raw bits, so equal means bit for bit."""
-    return [(struct.pack("<dd", z.real, z.imag), m) for z, m in clusters]
+    """The (representative, count) part of each cluster with the representative as raw bits, so equal means bit for bit."""
+    return [(struct.pack("<dd", z.real, z.imag), m) for z, m, *_ in clusters]
+
+
+def _as_scan(clusters, tol_abs):
+    """cluster_points, asserted to make the scan's clusters bit for bit and the scan's member partition."""
+    got, want = cluster_points(clusters, tol_abs), _scan_cluster_points(clusters, tol_abs)
+    assert _bits(got) == _bits(want), (clusters, tol_abs)
+    assert [c[2] for c in got] == [c[2] for c in want], (clusters, tol_abs)
+    assert sorted(i for c in got for i in c[2]) == list(range(len(clusters)))
+    return got
 
 
 class TestClustering:
@@ -438,8 +447,7 @@ class TestClustering:
         rng = np.random.default_rng(2024)
         for case in range(3000):
             pts, tol = _cluster_case(rng, case % 6)
-            clusters = [(p, 1) for p in pts]
-            assert _bits(cluster_points(clusters, tol)) == _bits(_scan_cluster_points(clusters, tol)), (pts, tol)
+            _as_scan([(p, 1) for p in pts], tol)
 
     def test_weighted_clusters_merge_as_the_scan(self):
         # the same point stream, with counts 1-3 from a second generator
@@ -447,9 +455,8 @@ class TestClustering:
         for case in range(3000):
             pts, tol = _cluster_case(rng, case % 6)
             clusters = [(p, int(m)) for p, m in zip(pts, weights.integers(1, 4, len(pts)))]
-            got = cluster_points(clusters, tol)
-            assert _bits(got) == _bits(_scan_cluster_points(clusters, tol)), (clusters, tol)
-            assert sum(m for _, m in got) == sum(m for _, m in clusters)
+            got = _as_scan(clusters, tol)
+            assert sum(m for _, m, _ in got) == sum(m for _, m in clusters)
 
     def test_planted_clusters_deep_in_the_matrix_merge_as_the_scan(self):
         # k = 20-80, so merges refresh rows and columns far from the corner
@@ -459,8 +466,7 @@ class TestClustering:
             pts, tol = _planted_case(rng)
             counts = weights.integers(1, 4, len(pts)) if case % 2 else np.ones(len(pts), dtype=int)
             clusters = [(p, int(m)) for p, m in zip(pts, counts)]
-            got = cluster_points(clusters, tol)
-            assert _bits(got) == _bits(_scan_cluster_points(clusters, tol)), (clusters, tol)
+            got = _as_scan(clusters, tol)
             merged += len(clusters) - len(got)
         assert merged > 2000
 
@@ -470,38 +476,38 @@ class TestClustering:
             ([1.5e308 + 1e308j, 1.6e308 - 1e308j, -1e308 + 1e308j], math.inf),
             ([1e308, 1.2e308, 1.7e308, 1.1e308], 1e308),
         ):
-            clusters = [(p, 1) for p in pts]
-            got = cluster_points(clusters, tol)
-            assert _bits(got) == _bits(_scan_cluster_points(clusters, tol))
-            assert sum(m for _, m in got) == len(pts)
-            assert all(cmath.isfinite(v) for v, _ in got), got
+            got = _as_scan([(p, 1) for p in pts], tol)
+            assert sum(m for _, m, _ in got) == len(pts)
+            assert all(cmath.isfinite(v) for v, _, _ in got), got
 
     def test_a_tie_after_a_merge_goes_to_the_first_pair(self):
         # 0's nearest is -1 until 1 +- 2**-10 i merge into 1, which ties it and comes first
         clusters = [(0j, 1), (1 + 2**-10 * 1j, 1), (1 - 2**-10 * 1j, 1), (-1 + 0j, 1)]
-        got = cluster_points(clusters, 1.0)
-        assert got == _scan_cluster_points(clusters, 1.0) == [(-1 + 0j, 1), (2 / 3 + 0j, 3)]
+        got = _as_scan(clusters, 1.0)
+        assert got == [(-1 + 0j, 1, (3,)), (2 / 3 + 0j, 3, (0, 1, 2))]
 
     def test_equal_copies_keep_their_value(self):
         rng = np.random.default_rng(2026)
         for m in (3, 4, 5, 64):
             for a in _complex_gauss(rng, (500,)).tolist():
+                assert cluster_points([(a, 1)] * m, 1e-8) == [(a, m, tuple(range(m)))]
                 assert _bits(cluster_points([(a, 1)] * m, 1e-8)) == _bits([(a, m)])
 
     def test_merges_close_points(self):
         merged = cluster_points([(1.0, 1), (1.0 + 1e-12, 1), (5.0, 1)], tol_abs=1e-8)
-        assert [(round(v.real), m) for v, m in merged] == [(1, 2), (5, 1)]
+        assert [(round(v.real), m, idx) for v, m, idx in merged] == [(1, 2, (0, 1)), (5, 1, (2,))]
 
     def test_representatives_separated(self):
         rng = np.random.default_rng(5)
         pts = list(rng.standard_normal(12) + 1j * rng.standard_normal(12))
         pts += [pts[0] + 1e-12, pts[3] + 2e-12]
         merged = cluster_points([(p, 1) for p in pts], tol_abs=1e-8)
-        reps = [v for v, _ in merged]
+        reps = [v for v, _, _ in merged]
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert abs(reps[i] - reps[j]) > 1e-8
-        assert sum(m for _, m in merged) == len(pts)
+        assert sum(m for _, m, _ in merged) == len(pts)
+        assert {idx for *_, idx in merged if len(idx) > 1} == {(0, 12), (3, 13)}
 
     def test_cluster_tolerance_scale(self):
         a = np.eye(3) * 100

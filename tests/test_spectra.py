@@ -1,5 +1,7 @@
 """Spectral theory: component spectra, modified eigenvalues, eigenspace structure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from bcspec import (
     Bicomplex,
     BicomplexOperator,
     BicomplexVector,
+    EigenSet,
     ModifiedCase,
     NotModifiedEigenvalueError,
     VectorClass,
@@ -35,6 +38,27 @@ from bcspec.oracle import (
 
 def _values(eigenset):
     return sorted(eigenset.value_list(), key=lambda z: (z.real, z.imag))
+
+
+def _profile_ops(seed: int, count: int, scale: float = 1.0) -> list[BicomplexOperator]:
+    """count operators of each oracle profile, n = 2-8, with t1 multiplied by scale."""
+    ops = []
+    for p, profile in enumerate(PROFILES):
+        for trial in range(count):
+            op = random_operator(Rng(seed, (p, trial)), 2 + trial % 7, profile).operator
+            ops.append(BicomplexOperator(scale * op.t1, op.t2))
+    return ops
+
+
+def _ldexp(t: np.ndarray, k: int) -> np.ndarray:
+    """2**k * t, exactly: each real and imaginary part scaled by ldexp."""
+    return np.ldexp(t.view(np.float64), k).view(np.complex128)
+
+
+def _shape(report) -> list[tuple[int, int, int]]:
+    """(multiplicity, minus dimension, plus dimension) of each eigenvalue of T, in order."""
+    spaces = report.eigenspaces()
+    return [(m, s.minus_basis.dim, s.plus_basis.dim) for (_, m), s in zip(report.eigenvalues_of_T.values, spaces)]
 
 
 def _is_eigenvalue(op, lam):
@@ -347,6 +371,75 @@ class TestEigenspaces:
         spaces = component_spectra(ex_op).eigenspaces()
         assert iter(spaces) is spaces
         assert [s.dim for s in spaces] == [1, 3]
+
+
+class TestEigenspaceAttribution:
+    """spectrum builds the eigenspace of each eigenvalue of T from the side clusters the union merged into it."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e-9])
+    def test_dimension_at_most_multiplicity(self, scale):
+        # At 1e9 the tol of t1 exceeds the gaps of t2's spectrum, so a
+        # membership query at t1's tol would pull t1 clusters into t2's values.
+        for op in _profile_ops(16, 75, scale):
+            report = component_spectra(op)
+            union, y1, y2 = report.eigenvalues_of_T, report.upsilon1, report.upsilon2
+            k1, total = len(y1.values), 0
+            for (lam, m), idx, space in zip(union.values, union.members, report.eigenspaces()):
+                m1 = sum(y1.values[i][1] for i in idx if i < k1)
+                m2 = sum(y2.values[i - k1][1] for i in idx if i >= k1)
+                assert m1 + m2 == m
+                assert space.dim <= m and space.minus_basis.dim <= m1 and space.plus_basis.dim <= m2, (op, lam)
+                total += space.dim
+            assert total <= 2 * op.n
+
+    def test_spectrum_makes_no_membership_query(self, monkeypatch):
+        reports = [component_spectra(op) for op in _profile_ops(17, 4) + _profile_ops(17, 4, 1e9)]
+
+        def refuse(self, z):
+            raise AssertionError("EigenSet.near called")
+
+        monkeypatch.setattr(EigenSet, "near", refuse)
+        for report in reports:
+            assert sum(s.dim for s in report.eigenspaces()) >= 2
+        with pytest.raises(AssertionError, match="near called"):
+            modified_eigenspace(reports[0], Bicomplex.from_complex(reports[0].eigenvalues_of_T.values[0][0]))
+
+
+class TestExactTransformations:
+    """Metamorphic relations that hold exactly on the stored input.
+
+    Scaling is upward only, by 2**k for k in {7, 300, 900}: every tolerance
+    has an absolute floor (tol * (1 + ||A||_F) for clusters, tol *
+    max(||A||_F, 1) for rank), so scaling a matrix down toward the floor
+    changes its verdicts by design.
+    """
+
+    @pytest.mark.parametrize("k", [7, 300, 900])
+    def test_power_of_two_scaling(self, k):
+        for op in _profile_ops(2, 30):
+            report = component_spectra(op)
+            scaled = component_spectra(BicomplexOperator(_ldexp(op.t1, k), _ldexp(op.t2, k)))
+            for es, big in ((report.upsilon1, scaled.upsilon1), (report.upsilon2, scaled.upsilon2)):
+                want = [(float.hex(math.ldexp(v.real, k)), float.hex(math.ldexp(v.imag, k)), m) for v, m in es.values]
+                assert [(v.real.hex(), v.imag.hex(), m) for v, m in big.values] == want, (op, k)
+            assert _shape(scaled) == _shape(report), (op, k)
+
+    def test_idempotent_swap(self):
+        for op in _profile_ops(2, 30):
+            report = component_spectra(op)
+            swapped = component_spectra(BicomplexOperator(op.t2, op.t1))
+            assert (swapped.upsilon1, swapped.upsilon2) == (report.upsilon2, report.upsilon1)
+            union = report.eigenvalues_of_T
+            for (v, _), (w, _) in zip(union.values, swapped.eigenvalues_of_T.values):
+                assert abs(v - w) <= union.tol, op
+            assert _shape(swapped) == [(m, plus, minus) for m, minus, plus in _shape(report)], op
+
+    def test_permutation_similarity(self):
+        rng = np.random.default_rng(16)
+        for op in _profile_ops(2, 30):
+            p = rng.permutation(op.n)
+            permuted = component_spectra(BicomplexOperator(op.t1[p][:, p], op.t2[p][:, p]))
+            assert _shape(permuted) == _shape(component_spectra(op)), op
 
 
 class TestEigenspace:
