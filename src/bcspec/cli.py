@@ -111,10 +111,6 @@ def _emit(report: dict, args) -> None:
         raise BcspecError(f"cannot write report: {exc}") from exc
 
 
-def _parse_kappa(raw: str, where: str) -> Bicomplex:
-    return jsonio.parse_scalar(jsonio.loads(raw), where)
-
-
 def _eigenset_json(es) -> list[dict]:
     return [
         {"value": jsonio.complex_to_json(v), "multiplicity": m} for v, m in es.values
@@ -128,10 +124,9 @@ def _subspace_json(space) -> list[list[list[float]]]:
 # -- commands -------------------------------------------------------------
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args, report: dict) -> int:
     obj = _load_input(args.input)
     tol = args.tol
-    report: dict = {"command": "decompose", "tol": tol}
     if isinstance(obj, dict) and ("idem" in obj or "cart" in obj or "real" in obj):
         x = jsonio.parse_scalar(obj)
         cls = x.classify(tol)
@@ -163,11 +158,10 @@ def _cmd_decompose(args) -> int:
         ]
         if rows == cols:
             report["operator_singular"] = is_singular_operator(BicomplexOperator(matrix.minus, matrix.plus), tol)
-    _emit(report, args)
     return EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, report: dict) -> int:
     op = jsonio.parse_operator(_load_input(args.input))
     spectra = component_spectra(op, args.cluster_tol)
     eigenspaces = [
@@ -178,88 +172,59 @@ def _cmd_spectrum(args) -> int:
         }
         for (lam, _), space in zip(spectra.eigenvalues_of_T.values, spectra.eigenspaces())
     ]
-    report = {
-        "command": "spectrum",
-        "tol": args.tol,
-        "cluster_tol": args.cluster_tol,
-        "n": op.n,
-        "upsilon1": _eigenset_json(spectra.upsilon1),
-        "upsilon2": _eigenset_json(spectra.upsilon2),
-        "eigenvalues": _eigenset_json(spectra.eigenvalues_of_T),
-        "modified_spectrum": spectra.symbolic(),
-        "eigenspaces": eigenspaces,
-    }
-    _emit(report, args)
-    return EXIT_OK
-
-
-def _space_report(spectra, kappa: Bicomplex, tol: float) -> dict:
-    out: dict = {"kappa": jsonio.scalar_to_json(kappa)}
-    try:
-        space = modified_eigenspace(spectra, kappa)
-    except NotModifiedEigenvalueError:
-        out.update({"is_modified_eigenvalue": False, "case": None, "verdict": "not a modified eigenvalue"})
-        return out
-    out.update(
-        {
-            "is_modified_eigenvalue": True,
-            "case": space.case.value,
-            "dimension": space.dim,
-            "dim_minus": space.minus_basis.dim,
-            "dim_plus": space.plus_basis.dim,
-            "minus_basis": _subspace_json(space.minus_basis),
-            "plus_basis": _subspace_json(space.plus_basis),
-            "assembled": [jsonio.vector_to_json(v) for v in space.assembled],
-            "vector_classes": [classify_vector(v, tol).value for v in space.assembled],
-            "all_eigenvectors_singular": space.all_eigenvectors_singular,
-            "max_residual": space.max_residual(spectra.op),
-        }
+    report.update(
+        n=op.n,
+        upsilon1=_eigenset_json(spectra.upsilon1),
+        upsilon2=_eigenset_json(spectra.upsilon2),
+        eigenvalues=_eigenset_json(spectra.eigenvalues_of_T),
+        modified_spectrum=spectra.symbolic(),
+        eigenspaces=eigenspaces,
     )
-    return out
-
-
-def _cmd_modified(args) -> int:
-    op = jsonio.parse_operator(_load_input(args.input))
-    kappa = _parse_kappa(args.kappa, "kappa")
-    spectra = component_spectra(op, args.cluster_tol)
-    report = {
-        "command": "modified",
-        "tol": args.tol,
-        "cluster_tol": args.cluster_tol,
-        "n": op.n,
-    }
-    report.update(_space_report(spectra, kappa, args.tol))
-    _emit(report, args)
     return EXIT_OK
 
 
-def _cmd_eigenspace(args) -> int:
+def _cmd_space(args, report: dict) -> int:
+    """`modified --kappa K` and `eigenspace --kappa K | --lam L`; --lam L asks about kappa = L e1 + L e2.
+
+    Every argument is parsed before the eigensolve, so a malformed one is
+    refused first.
+    """
     if (args.kappa is None) == (args.lam is None):
         raise ParseError("eigenspace: provide exactly one of --kappa or --lam")
     op = jsonio.parse_operator(_load_input(args.input))
-    spectra = component_spectra(op, args.cluster_tol)
     if args.lam is not None:
         lam = jsonio.parse_complex(jsonio.loads(args.lam), "lam")
         kappa = Bicomplex.from_complex(lam)
-        extra = {"eigenvalue": jsonio.complex_to_json(lam)}
+        report["eigenvalue"] = jsonio.complex_to_json(lam)
     else:
-        kappa = _parse_kappa(args.kappa, "kappa")
-        extra = {}
-    report = {
-        "command": "eigenspace",
-        "tol": args.tol,
-        "cluster_tol": args.cluster_tol,
-        "n": op.n,
-    }
-    report.update(extra)
-    report.update(_space_report(spectra, kappa, args.tol))
+        kappa = jsonio.parse_scalar(jsonio.loads(args.kappa), "kappa")
+    spectra = component_spectra(op, args.cluster_tol)
+    report["n"] = op.n
+    report["kappa"] = jsonio.scalar_to_json(kappa)
+    try:
+        space = modified_eigenspace(spectra, kappa)
+    except NotModifiedEigenvalueError:
+        report.update(is_modified_eigenvalue=False, case=None, verdict="not a modified eigenvalue")
+    else:
+        report.update(
+            is_modified_eigenvalue=True,
+            case=space.case.value,
+            dimension=space.dim,
+            dim_minus=space.minus_basis.dim,
+            dim_plus=space.plus_basis.dim,
+            minus_basis=_subspace_json(space.minus_basis),
+            plus_basis=_subspace_json(space.plus_basis),
+            assembled=[jsonio.vector_to_json(v) for v in space.assembled],
+            vector_classes=[classify_vector(v, args.tol).value for v in space.assembled],
+            all_eigenvectors_singular=space.all_eigenvectors_singular,
+            max_residual=space.max_residual(op),
+        )
     if args.lam is not None:
         report["is_eigenvalue"] = report["is_modified_eigenvalue"]
-    _emit(report, args)
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, report: dict) -> int:
     result = run_verify(
         seed=args.seed,
         trials=args.trials,
@@ -268,32 +233,28 @@ def _cmd_verify(args) -> int:
         tol=args.tol,
         cluster_tol=args.cluster_tol,
     )
-    report = {
-        "command": "verify",
-        "seed": args.seed,
-        "trials": args.trials,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "tol": args.tol,
-        "cluster_tol": args.cluster_tol,
-        "passed": result.passed,
-        "suites": [
+    report.update(
+        seed=args.seed,
+        trials=args.trials,
+        n_min=args.n_min,
+        n_max=args.n_max,
+        passed=result.passed,
+        suites=[
             {
                 "name": s.name,
                 "statement": s.statement,
-                "trials": s.trials,
+                "trials": args.trials,
                 "failures": s.failures,
                 "passed": s.passed,
                 "failure_detail": s.messages,
             }
             for s in result.suites
         ],
-    }
-    _emit(report, args)
+    )
     return EXIT_OK if result.passed else EXIT_SUITE_FAILURE
 
 
-def _cmd_explore_sum(args) -> int:
+def _cmd_explore_sum(args, report: dict) -> int:
     if args.search:
         operator = None
         if args.input is not None:
@@ -307,41 +268,33 @@ def _cmd_explore_sum(args) -> int:
             tol=args.tol,
             cluster_tol=args.cluster_tol,
         )
-        report = {
-            "command": "explore-sum",
-            "mode": "search",
-            "seed": args.seed,
-            "trials": args.trials,
-            "tol": args.tol,
-            "cluster_tol": args.cluster_tol,
-            "direct_count": result.direct_count,
-            "non_direct_count": result.non_direct_count,
-            "witnesses": result.witnesses,
-            "note": "computed findings for the sampled operators and pairs only",
-        }
-        _emit(report, args)
+        report.update(
+            mode="search",
+            seed=args.seed,
+            trials=args.trials,
+            direct_count=result.direct_count,
+            non_direct_count=result.non_direct_count,
+            witnesses=result.witnesses,
+            note="computed findings for the sampled operators and pairs only",
+        )
         return EXIT_OK
     if args.input is None or args.kappa is None or args.kappa2 is None:
         raise ParseError("explore-sum: explicit mode needs --input, --kappa and --kappa2")
     op = jsonio.parse_operator(_load_input(args.input))
-    kappa = _parse_kappa(args.kappa, "kappa")
-    kappa2 = _parse_kappa(args.kappa2, "kappa2")
+    kappa = jsonio.parse_scalar(jsonio.loads(args.kappa), "kappa")
+    kappa2 = jsonio.parse_scalar(jsonio.loads(args.kappa2), "kappa2")
     result = eigenspace_sum(component_spectra(op, args.cluster_tol), kappa, kappa2, args.tol)
-    report = {
-        "command": "explore-sum",
-        "mode": "explicit",
-        "tol": args.tol,
-        "cluster_tol": args.cluster_tol,
-        "kappa": jsonio.scalar_to_json(kappa),
-        "kappa_prime": jsonio.scalar_to_json(kappa2),
-        "dim_first": result.dim_first,
-        "dim_second": result.dim_second,
-        "sum_dim": result.sum_dim,
-        "intersection_dim": result.intersection_dim,
-        "is_direct": result.is_direct,
-        "note": "computed finding for this operator and pair only",
-    }
-    _emit(report, args)
+    report.update(
+        mode="explicit",
+        kappa=jsonio.scalar_to_json(kappa),
+        kappa_prime=jsonio.scalar_to_json(kappa2),
+        dim_first=result.dim_first,
+        dim_second=result.dim_second,
+        sum_dim=result.sum_dim,
+        intersection_dim=result.intersection_dim,
+        is_direct=result.is_direct,
+        note="computed finding for this operator and pair only",
+    )
     return EXIT_OK
 
 
@@ -375,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modified", help="modified-eigenvalue verdict and eigenspace basis")
     _add_common(p)
     p.add_argument("--kappa", required=True, help="bicomplex scalar as JSON (idem/cart/real)")
-    p.set_defaults(fn=_cmd_modified)
+    p.set_defaults(fn=_cmd_space, lam=None)
 
     p = sub.add_parser("eigenspace", help="eigenspace of an eigenvalue (or of a bicomplex kappa)")
     _add_common(p)
     p.add_argument("--kappa", default=None, help="bicomplex scalar as JSON")
     p.add_argument("--lam", default=None, help="complex eigenvalue as [re, im]")
-    p.set_defaults(fn=_cmd_eigenspace)
+    p.set_defaults(fn=_cmd_space)
 
     p = sub.add_parser("verify", help="run the randomized oracle suites")
     _add_common(p, needs_input=False)
@@ -416,7 +369,12 @@ def main(argv=None) -> int:
         _check_tolerance("--cluster-tol", args.cluster_tol)
         if getattr(args, "trials", 1) < 1:
             raise ParseError("--trials must be at least 1")
-        return args.fn(args)
+        report: dict = {"command": args.command, "tol": args.tol}
+        if args.command != "decompose":
+            report["cluster_tol"] = args.cluster_tol
+        code = args.fn(args, report)
+        _emit(report, args)
+        return code
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

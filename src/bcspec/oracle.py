@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex, IdealClass
 from .errors import ZeroVectorError
-from .linalg import CSubspace, frobenius
-from .operators import BicomplexOperator, BicomplexVector, apply, shift
+from .linalg import CSubspace
+from .operators import BicomplexOperator, BicomplexVector
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,10 @@ def residual(op: BicomplexOperator, kappa, v: BicomplexVector) -> float:
         raise ZeroVectorError("residual is undefined on the zero vector")
     if not isinstance(kappa, Bicomplex):
         kappa = Bicomplex.from_complex(kappa)
-    return (apply(op, v) - v.scale(kappa)).norm()
+    return math.hypot(
+        np.linalg.norm(op.t1 @ v.minus - kappa.minus * v.minus),
+        np.linalg.norm(op.t2 @ v.plus - kappa.plus * v.plus),
+    )
 
 
 # -- independent elimination nullspace ----------------------------------
@@ -164,8 +167,8 @@ def brute_modified_eigenspace(
     Its dimension must equal the componentwise (structure) dimension of the
     modified eigenspace of kappa.
     """
-    block = block_embed(shift(op, kappa))
-    threshold = tol * (1.0 + frobenius(block))
+    block = block_embed(op) - np.diag(np.repeat([kappa.minus, kappa.plus], op.n))
+    threshold = tol * (1.0 + np.linalg.norm(block))
     raw = elimination_nullspace(block, threshold)
     return CSubspace(block.shape[1], _gram_schmidt(raw))
 

@@ -305,8 +305,6 @@ class EigenspaceSumReport:
     claimed about whether such sums are direct in general.
     """
 
-    kappa: Bicomplex
-    kappa_prime: Bicomplex
     dim_first: int
     dim_second: int
     sum_dim: int
@@ -327,8 +325,6 @@ def eigenspace_sum(
     )
     inter_dim = first.dim + second.dim - sum_dim
     return EigenspaceSumReport(
-        kappa=kappa,
-        kappa_prime=kappa_prime,
         dim_first=first.dim,
         dim_second=second.dim,
         sum_dim=sum_dim,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex, E1, E2, ONE
-from .linalg import DEFAULT_CLUSTER_TOL, EigenSet, frobenius
+from .linalg import DEFAULT_CLUSTER_TOL, EigenSet
 from .operators import (
     BicomplexOperator,
     VectorClass,
@@ -61,7 +61,6 @@ MAX_WITNESSES = 10
 class SuiteResult:
     name: str
     statement: str
-    trials: int
     failures: int = 0
     messages: list[str] = field(default_factory=list)
 
@@ -77,12 +76,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.suites)
-
-    def suite(self, name: str) -> SuiteResult:
-        for s in self.suites:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 class _Check:
@@ -109,7 +102,7 @@ def _far_scalar(gen, *eigensets: EigenSet) -> complex:
 
 def _singular_by_elimination(a: np.ndarray, tol: float) -> bool:
     """Singularity by Gauss-Jordan elimination, at the primary rank threshold."""
-    threshold = tol * max(frobenius(a), 1.0) * max(a.shape)
+    threshold = tol * max(np.linalg.norm(a), 1.0) * max(a.shape)
     return elimination_nullspace(a, threshold).shape[1] > 0
 
 
@@ -120,7 +113,7 @@ def _raw_cylinder(op: BicomplexOperator, cluster_tol: float):
     eigenvalue of t1 or kappa^+ near one of t2, within a verify-local
     cluster_tol * (1 + ||t||_F); no EigenSet is involved.
     """
-    sides = [(np.linalg.eigvals(t), cluster_tol * (1.0 + frobenius(t))) for t in (op.t1, op.t2)]
+    sides = [(np.linalg.eigvals(t), cluster_tol * (1.0 + np.linalg.norm(t))) for t in (op.t1, op.t2)]
 
     def on_cylinder(kappa: Bicomplex) -> bool:
         return any(
@@ -220,7 +213,7 @@ def _suite_kernel_image(check, rng, n, tol, cluster_tol):
     k1, k2 = kernel(op, tol)
     impl_dim = k1.dim + k2.dim
     block = block_embed(op)
-    brute = elimination_nullspace(block, tol * (1.0 + frobenius(block)) * max(block.shape))
+    brute = elimination_nullspace(block, tol * (1.0 + np.linalg.norm(block)) * max(block.shape))
     check(
         impl_dim == brute.shape[1],
         f"kernel dimension {impl_dim} != block-elimination dimension {brute.shape[1]}",
@@ -442,7 +435,7 @@ def _suite_block_spectrum(check, rng, n, tol, cluster_tol):
     block = block_embed(op)
     block_eigs = list(np.linalg.eigvals(block))
     expected = report.upsilon1.multiset() + report.upsilon2.multiset()
-    tol_abs = cluster_tol * (1.0 + frobenius(block))
+    tol_abs = cluster_tol * (1.0 + np.linalg.norm(block))
     check(
         _match_multisets([complex(z) for z in block_eigs], expected, tol_abs),
         f"block spectrum is not the disjoint union of the component spectra ({profile})",
@@ -562,7 +555,7 @@ def run_verify(
     span = n_max - n_min + 1
     results = []
     for suite_index, (name, statement, fn) in enumerate(SUITES):
-        result = SuiteResult(name=name, statement=statement, trials=trials)
+        result = SuiteResult(name=name, statement=statement)
         for trial in range(trials):
             n = n_min + (trial % span)
             rng = Rng(seed, (suite_index, trial))

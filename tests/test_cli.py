@@ -29,6 +29,7 @@ def op_file(tmp_path):
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 # t1 = diag(1.7e308, -1.7e308, 1), whose Frobenius norm is beyond float range, and t2 = diag(1, 2, 3)
 TOP_OF_RANGE_OP = json.dumps(
@@ -317,6 +318,25 @@ class TestEigenspace:
         assert report["is_eigenvalue"] is False
         assert report["verdict"] == "not a modified eigenvalue"
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("name", ["worked_example", "diagonal3"])
+    @pytest.mark.parametrize(
+        "kappa",
+        ['{"idem":[1,0,2,0]}', '{"idem":[9,0,1,0]}', '{"idem":[1,0,1,0]}', '{"idem":[7,0,9,0]}'],
+        ids=["only-minus", "only-plus", "both", "non-member"],
+    )
+    def test_kappa_form_is_the_modified_report(self, capsys, fmt, name, kappa):
+        argv = ["--input", str(GOLDEN_INPUTS / f"{name}.json"), "--kappa", kappa, "--format", fmt]
+        reports = {}
+        for command in ("modified", "eigenspace"):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            header = [line for line in lines if line.strip().startswith(('"command":', "command:"))]
+            assert len(header) == 1 and command in header[0]
+            reports[command] = [line for line in lines if line not in header]
+        assert reports["modified"] == reports["eigenspace"]
+
     def test_requires_exactly_one_selector(self, capsys, op_file):
         code, _, err = run_cli(capsys, "eigenspace", "--input", op_file)
         assert code == 2 and "exactly one" in err
@@ -533,6 +553,23 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: eig gave a non-finite eigenvalue of a finite matrix"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["modified", "--kappa", '{"idem":[1,0]}'], "kappa.idem: expected a list of 4 numbers, got [1, 0]"),
+            (["eigenspace", "--kappa", '{"idem":[1,0]}'], "kappa.idem: expected a list of 4 numbers, got [1, 0]"),
+            (["eigenspace", "--lam", "[1,0,0]"], "lam: expected [re, im], got [1, 0, 0]"),
+        ],
+        ids=["modified-kappa", "eigenspace-kappa", "eigenspace-lam"],
+    )
+    def test_malformed_argument_is_refused_before_the_eigensolve(self, capsys, argv, message):
+        # eig overflows on this operator; the malformed argument is the error reported
+        t1 = [[[1.7e308, 0]] * 2] * 2
+        op = json.dumps({"t1": t1, "t2": [[[0, 0]] * 2] * 2})
+        code, out, err = run_cli(capsys, argv[0], "--input", op, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_top_of_range_eigenvalue_spectrum(self, capsys):
         # eig gives NaN for 1.5e308 + 1.5e308i, whose modulus exceeds the float
         # range; the eigenvalue itself is representable and is reported
@@ -602,6 +639,43 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "decompose", "--input", '{"idem":[1,0,2,0]}')
         assert code == 2 and out == ""
         assert err.startswith("error: BCSPEC_TOL must be finite and positive")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--input", "@"],
+            ["decompose", "--input", '{"idem":[1,0,2,0]}'],
+            ["spectrum", "--input", "@"],
+            ["modified", "--input", "@", "--kappa", '{"idem":[1,0,2,0]}'],
+            ["eigenspace", "--input", "@", "--kappa", '{"idem":[1,0,2,0]}'],
+            ["eigenspace", "--input", "@", "--lam", "[1,0]"],
+            ["verify", "--trials", "1", "--n-max", "2"],
+            ["explore-sum", "--input", "@", "--kappa", '{"idem":[1,0,2,0]}', "--kappa2", '{"idem":[1,0,3,0]}'],
+            ["explore-sum", "--search", "--trials", "2"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a.startswith("--") or a == argv[0]),
+    )
+    @pytest.mark.parametrize("tol_from", ["flag", "env"])
+    def test_every_report_carries_its_header(self, capsys, monkeypatch, op_file, argv, fmt, tol_from):
+        argv = [op_file if a == "@" else a for a in argv] + ["--format", fmt, "--cluster-tol", "1e-6"]
+        if tol_from == "flag":
+            monkeypatch.setenv("BCSPEC_TOL", "1e-7")
+            argv += ["--tol", "1e-9"]
+        else:
+            monkeypatch.setenv("BCSPEC_TOL", "1e-9")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        keys = ("command", "tol", "cluster_tol")
+        if fmt == "json":
+            header = {key: value for key, value in json.loads(out).items() if key in keys}
+        else:
+            top = (line.split(": ", 1) for line in out.splitlines() if ": " in line and not line.startswith(" "))
+            header = {key: value if key == "command" else json.loads(value) for key, value in top if key in keys}
+        expected = {"command": argv[0], "tol": 1e-9}
+        if argv[0] != "decompose":
+            expected["cluster_tol"] = 1e-6
+        assert header == expected
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BCSPEC_TOL", "1e-4")

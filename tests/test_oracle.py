@@ -1,8 +1,15 @@
 """The brute-force reference paths themselves: embeddings, elimination, planting."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bcspec.linalg
+import bcspec.operators
+import bcspec.oracle
 from bcspec import Bicomplex, BicomplexOperator, BicomplexVector, ZeroVectorError
 from bcspec.linalg import eigenvalues, frobenius, nullspace
 from bcspec.operators import is_singular_operator
@@ -21,6 +28,20 @@ from bcspec.oracle import (
 )
 from bcspec.spectra import component_spectra
 from conftest import side_eigenspaces
+
+
+def test_oracle_shares_no_code_with_the_primary_paths():
+    # from the primary modules the oracle takes data types only, never a computation
+    tree = ast.parse(Path(bcspec.oracle.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("linalg", "operators")
+        for alias in node.names
+    ]
+    assert imported
+    modules = {"linalg": bcspec.linalg, "operators": bcspec.operators}
+    assert [(m, name) for m, name in imported if not inspect.isclass(getattr(modules[m], name))] == []
 
 
 class TestRng:

@@ -1,9 +1,11 @@
 """The public surface: every name in bcspec.__all__, and the README's Python example."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import bcspec
+import bcspec.verify
 from bcspec import Bicomplex, CSubspace, EigenSet, ModifiedCase
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,6 +23,10 @@ def test_unused_api_stays_deleted():
     assert not hasattr(EigenSet, "total_multiplicity")
     # eigenspace_sum decides one rank per side; nothing else took a subspace sum or intersection
     assert {"subspace_sum", "subspace_intersection"}.isdisjoint(dir(bcspec) + dir(bcspec.linalg))
+    # results keep no copy of what the caller passed in
+    assert {"kappa", "kappa_prime"}.isdisjoint(f.name for f in fields(bcspec.EigenspaceSumReport))
+    assert "trials" not in {f.name for f in fields(bcspec.verify.SuiteResult)}
+    assert not hasattr(bcspec.verify.VerifyReport, "suite")
 
 
 def test_readme_python_example_runs(ex_op):

@@ -16,7 +16,7 @@ def test_at_least_ten_named_suites():
 def test_small_run_is_green():
     report = run_verify(trials=6, seed=7)
     assert report.passed
-    assert all(s.trials == 6 for s in report.suites)
+    assert [s.name for s in report.suites] == [name for name, _, _ in SUITES]
 
 
 def test_larger_sizes_are_green():
@@ -37,7 +37,7 @@ def test_runs_are_deterministic():
 def test_fault_injection_is_detected():
     report = run_verify(trials=10, seed=7)
     assert not report.passed
-    kernel = report.suite("kernel_image")
+    kernel = next(s for s in report.suites if s.name == "kernel_image")
     assert kernel.failures > 0
     # the fault is local to the kernel path; everything else stays green
     assert all(s.passed for s in report.suites if s.name != "kernel_image")
@@ -46,7 +46,7 @@ def test_fault_injection_is_detected():
 @pytest.mark.usefixtures("swapped_kernel")
 def test_failure_messages_carry_replay_key():
     report = run_verify(trials=10, seed=7)
-    kernel = report.suite("kernel_image")
+    kernel = next(s for s in report.suites if s.name == "kernel_image")
     assert kernel.messages
     assert all("seed=7" in m and "trial=" in m for m in kernel.messages)
 
