@@ -301,11 +301,12 @@ def _cmd_explore_sum(args, report: dict) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True):
+def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True, spectral: bool = True):
     if needs_input:
         parser.add_argument("--input", required=True, help="path to a JSON file, or inline JSON")
     parser.add_argument("--tol", type=float, default=None, help="singularity tolerance (default 1e-10, env BCSPEC_TOL)")
-    parser.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL, help="eigenvalue clustering tolerance (default 1e-8)")
+    if spectral:
+        parser.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL, help="eigenvalue clustering tolerance (default 1e-8)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
 
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="idempotent/cartesian/real forms and singularity class")
-    _add_common(p)
+    _add_common(p, spectral=False)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("spectrum", help="component spectra and the modified-spectrum shape")
@@ -366,12 +367,12 @@ def main(argv=None) -> int:
         if args.tol is None:
             args.tol = _default_tol()
         _check_tolerance("--tol", args.tol)
-        _check_tolerance("--cluster-tol", args.cluster_tol)
+        report: dict = {"command": args.command, "tol": args.tol}
+        if hasattr(args, "cluster_tol"):
+            _check_tolerance("--cluster-tol", args.cluster_tol)
+            report["cluster_tol"] = args.cluster_tol
         if getattr(args, "trials", 1) < 1:
             raise ParseError("--trials must be at least 1")
-        report: dict = {"command": args.command, "tol": args.tol}
-        if args.command != "decompose":
-            report["cluster_tol"] = args.cluster_tol
         code = args.fn(args, report)
         _emit(report, args)
         return code

@@ -29,10 +29,6 @@ class ZeroVectorError(BcspecError):
     """A nonzero vector was required."""
 
 
-class BaseNotEigenvalueError(BcspecError):
-    """The base scalar of a modified-eigenvalue family is not a component eigenvalue."""
-
-
 class NotModifiedEigenvalueError(BcspecError):
     """The given bicomplex scalar is not a modified eigenvalue of the operator."""
 

@@ -275,28 +275,22 @@ def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int, tuple[i
     return sorted(((reps[i], counts[i], members[i]) for i in np.flatnonzero(live)), key=lambda c: (c[0].real, c[0].imag))
 
 
-def cluster_tolerance(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
-    """Absolute clustering/membership tolerance for a matrix: tol * (1 + ||A||_F).
-
-    Computed as tol * (s + ||sA||_F) / s (see _scaled), so it is finite
-    whenever its true value is: at the default tol, for every finite A.
-    """
-    a, s = _scaled(a)
-    return cluster_tol * (s + float(np.linalg.norm(a))) / s
-
-
 def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
-    """Clustered spectrum of a square matrix, from one eig of s*A (see _scaled); its tol is the cluster tolerance of a.
+    """Clustered spectrum of a square matrix, from one eig of s*A (see _scaled).
 
-    Each part of the values is scaled back by ldexp, exactly unless it
-    underflows, so eig gives 2**k * A exactly 2**k times A's values when
-    neither holds a subnormal part; a value beyond float range raises
-    NonFiniteValueError.  A simple cluster takes its one value's eig vector.
+    Its tol, the absolute clustering and membership tolerance
+    cluster_tol * (1 + ||A||_F), is computed on the same copy as
+    cluster_tol * (s + ||sA||_F) / s, so it is finite whenever its true value
+    is: at the default cluster_tol, for every finite A.  Each part of the
+    values is scaled back by ldexp, exactly unless it underflows, so eig
+    gives 2**k * A exactly 2**k times A's values when neither holds a
+    subnormal part; a value beyond float range raises NonFiniteValueError.
+    A simple cluster takes its one value's eig vector.
     """
     a = as_carray(a)
     _require_square(a, "eigenvalues")
-    tol = cluster_tolerance(a, cluster_tol)
     sa, s = _scaled(a)
+    tol = cluster_tol * (s + float(np.linalg.norm(sa))) / s
     try:
         vals, vecs = np.linalg.eig(sa)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK

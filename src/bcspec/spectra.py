@@ -36,7 +36,6 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex
 from .errors import (
-    BaseNotEigenvalueError,
     DimensionMismatchError,
     InvalidArgumentError,
     NonSquareError,
@@ -75,19 +74,15 @@ def _case(minus_member: bool, plus_member: bool) -> ModifiedCase | None:
     return None
 
 
-@dataclass(frozen=True)
-class ModifiedEigenvalue:
-    kappa: Bicomplex
-    case: ModifiedCase | None  # None only on a rejected containment grid pair
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """The spectral analysis of one square operator T = e1*T1 + e2*T2.
 
-    Every eigenvalue, modified-eigenvalue, family, containment and eigenspace
-    query is a question to this object: the component spectra Y1 and Y2,
-    each carrying its membership tolerance, and the cylinder rule over them.
+    Every eigenvalue, modified-eigenvalue and eigenspace query is a question
+    to this object: the component spectra Y1 and Y2, each carrying its
+    membership tolerance, and the cylinder rule over them.  The grid
+    Y1 xe Y2 and the family kappa1*e1 + w*e2 through a member kappa1 of Y1
+    are classify_modified questions at the points the caller picks.
     """
 
     op: BicomplexOperator
@@ -154,62 +149,6 @@ def component_spectra(
     if not op.is_square:
         raise NonSquareError(f"spectra need a square operator, got {op.shape}")
     return SpectrumReport(op, eigenvalues(op.t1, cluster_tol), eigenvalues(op.t2, cluster_tol))
-
-
-def modified_family(
-    report: SpectrumReport, from_minus: bool, base, samples
-) -> list[ModifiedEigenvalue]:
-    """The infinite one-parameter family through a component eigenvalue.
-
-    With base in Y1, every base*e1 + w*e2 is a modified eigenvalue, for all
-    complex w; symmetrically for base in Y2.  Returns the family at the given
-    sample points.
-    """
-    base = complex(base)
-    if not (report.upsilon1 if from_minus else report.upsilon2).contains(base):
-        raise BaseNotEigenvalueError(f"{base} is not in the spectrum of t{1 if from_minus else 2}")
-    out = []
-    for w in samples:
-        kappa = Bicomplex(base, complex(w)) if from_minus else Bicomplex(complex(w), base)
-        case = report.classify_modified(kappa)
-        assert case is not None
-        out.append(ModifiedEigenvalue(kappa, case))
-    return out
-
-
-@dataclass
-class ContainmentRecord:
-    """Check of the grid Y1 xe Y2 against the modified spectrum.
-
-    Each grid pair carries the case classify_modified gives it, which must be
-    Both (None when the pair is rejected); witness is a modified eigenvalue
-    outside the grid, demonstrating proper containment.  A witness always
-    exists because Y2 is finite while the plus side of the cylinder
-    (Y1 xe C1) ranges over all of C1.
-    """
-
-    pairs: list[ModifiedEigenvalue]
-    witness: ModifiedEigenvalue | None
-
-
-def contains_idempotent_product(report: SpectrumReport) -> ContainmentRecord:
-    pairs = []
-    for k1 in report.upsilon1.value_list():
-        for k2 in report.upsilon2.value_list():
-            kappa = Bicomplex(k1, k2)
-            pairs.append(ModifiedEigenvalue(kappa, report.classify_modified(kappa)))
-    witness = None
-    if report.upsilon1.values:
-        # Plus component pushed past every member of Y2: outside the grid by
-        # construction, still modified through the minus side.
-        k1 = report.upsilon1.value_list()[0]
-        away = max((abs(v) for v in report.upsilon2.value_list()), default=0.0)
-        k2 = away + 1.0 + 10.0 * report.upsilon2.tol
-        kappa = Bicomplex(k1, k2)
-        case = report.classify_modified(kappa)
-        if case is ModifiedCase.ONLY_MINUS:
-            witness = ModifiedEigenvalue(kappa, case)
-    return ContainmentRecord(pairs, witness)
 
 
 @dataclass(eq=False)

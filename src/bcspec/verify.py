@@ -39,15 +39,8 @@ from .oracle import (
     random_vector,
 )
 from .oracle import residual as residual_norm
-from .spectra import (
-    ModifiedCase,
-    component_spectra,
-    contains_idempotent_product,
-    eigenspace_sum,
-    modified_eigenspace,
-    modified_family,
-)
-from .errors import BaseNotEigenvalueError, InvalidArgumentError
+from .spectra import ModifiedCase, component_spectra, eigenspace_sum, modified_eigenspace
+from .errors import InvalidArgumentError
 
 DEFAULT_SEED = 20240901
 DEFAULT_TRIALS = 500
@@ -310,17 +303,17 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol):
 
 def _suite_containment(check, rng, n, tol, cluster_tol):
     _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
-    rec = contains_idempotent_product(report)
-    for pair in rec.pairs:
-        check(pair.case is ModifiedCase.BOTH, f"grid pair {pair.kappa} not tagged Both")
-    check(rec.witness is not None, "no proper-containment witness produced")
-    if rec.witness is not None:
-        witness_case = report.classify_modified(rec.witness.kappa)
-        check(witness_case is not None, "witness rejected by the modified-eigenvalue test")
-        in_grid = report.upsilon1.contains(rec.witness.kappa.minus) and report.upsilon2.contains(
-            rec.witness.kappa.plus
-        )
-        check(not in_grid, "witness does not leave the idempotent-product grid")
+    y1, y2 = report.upsilon1, report.upsilon2
+    for k1 in y1.value_list():
+        for k2 in y2.value_list():
+            kappa = Bicomplex(k1, k2)
+            check(report.classify_modified(kappa) is ModifiedCase.BOTH, f"grid pair {kappa} not tagged Both")
+    # Plus component pushed past every member of Y2: outside the grid by
+    # construction, still modified through the minus side.
+    away = max((abs(v) for v in y2.value_list()), default=0.0)
+    witness = Bicomplex(y1.value_list()[0], away + 1.0 + 10.0 * y2.tol)
+    check(report.classify_modified(witness) is ModifiedCase.ONLY_MINUS, f"witness {witness} not tagged OnlyMinus")
+    check(not y2.contains(witness.plus), "witness does not leave the idempotent-product grid")
 
 
 def _suite_infinite_family(check, rng, n, tol, cluster_tol):
@@ -330,21 +323,16 @@ def _suite_infinite_family(check, rng, n, tol, cluster_tol):
     samples = [0.0, complex(complex_normal(gen)) * 3.0, complex(complex_normal(gen)) * 30.0]
     base1 = report.upsilon1.value_list()[0]
     base2 = report.upsilon2.value_list()[0]
-    members = modified_family(report, True, base1, samples)
-    members += modified_family(report, False, base2, samples)
-    for member in members:
-        check(report.classify_modified(member.kappa) is not None, f"family member {member.kappa} rejected")
+    members = [Bicomplex(base1, w) for w in samples] + [Bicomplex(w, base2) for w in samples]
+    for kappa in members:
+        check(report.classify_modified(kappa) is not None, f"family member {kappa} rejected")
     probe = Bicomplex(base1, samples[1])
     check(
         brute_modified_eigenspace(op, probe, cluster_tol).dim > 0,
         "family member invisible to the block oracle",
     )
     outside = _far_scalar(gen, report.upsilon1)
-    try:
-        modified_family(report, True, outside, samples)
-        check(False, "family accepted a base outside the spectrum")
-    except BaseNotEigenvalueError:
-        pass
+    check(not report.upsilon1.contains(outside), f"far base {outside} counted as a member of Y1")
 
 
 def _suite_cylinder_structure(check, rng, n, tol, cluster_tol):
@@ -597,14 +585,15 @@ def run_sum_search(
     direct = 0
     non_direct = 0
     witnesses: list[dict] = []
+    fixed = None if operator is None else component_spectra(operator, cluster_tol)
     for trial in range(trials):
         rng = Rng(seed, (997, trial))
-        if operator is None:
+        if fixed is None:
             n = n_min + (trial % span)
             op = random_operator(rng.child(0), n, ("generic", "shared-eigenvalue")[trial % 2]).operator
+            report = component_spectra(op, cluster_tol)
         else:
-            op = operator
-        report = component_spectra(op, cluster_tol)
+            report = fixed
         gen = rng.generator()
         far = _far_scalar(gen, report.upsilon1, report.upsilon2)
         far2 = _far_scalar(gen, report.upsilon1, report.upsilon2)

@@ -658,7 +658,9 @@ class TestErrorHandling:
     )
     @pytest.mark.parametrize("tol_from", ["flag", "env"])
     def test_every_report_carries_its_header(self, capsys, monkeypatch, op_file, argv, fmt, tol_from):
-        argv = [op_file if a == "@" else a for a in argv] + ["--format", fmt, "--cluster-tol", "1e-6"]
+        argv = [op_file if a == "@" else a for a in argv] + ["--format", fmt]
+        if argv[0] != "decompose":
+            argv += ["--cluster-tol", "1e-6"]
         if tol_from == "flag":
             monkeypatch.setenv("BCSPEC_TOL", "1e-7")
             argv += ["--tol", "1e-9"]
@@ -676,6 +678,14 @@ class TestErrorHandling:
         if argv[0] != "decompose":
             expected["cluster_tol"] = 1e-6
         assert header == expected
+
+    def test_decompose_takes_no_cluster_tolerance(self, capsys):
+        # nothing on decompose's route clusters eigenvalues, so argparse refuses the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--input", '{"idem":[1,0,2,0]}', "--cluster-tol", "1e-6"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "unrecognized arguments: --cluster-tol" in err
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BCSPEC_TOL", "1e-4")

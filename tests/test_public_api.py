@@ -5,6 +5,9 @@ from dataclasses import fields
 from pathlib import Path
 
 import bcspec
+import bcspec.errors
+import bcspec.linalg
+import bcspec.spectra
 import bcspec.verify
 from bcspec import Bicomplex, CSubspace, EigenSet, ModifiedCase
 
@@ -27,6 +30,17 @@ def test_unused_api_stays_deleted():
     assert {"kappa", "kappa_prime"}.isdisjoint(f.name for f in fields(bcspec.EigenspaceSumReport))
     assert "trials" not in {f.name for f in fields(bcspec.verify.SuiteResult)}
     assert not hasattr(bcspec.verify.VerifyReport, "suite")
+    # the containment and family theorems are classify_modified questions; the tolerance is eigenvalues(a).tol
+    deleted = {
+        "ModifiedEigenvalue",
+        "modified_family",
+        "ContainmentRecord",
+        "contains_idempotent_product",
+        "BaseNotEigenvalueError",
+        "cluster_tolerance",
+    }
+    modules = (bcspec, bcspec.spectra, bcspec.errors, bcspec.linalg)
+    assert deleted.isdisjoint(set(bcspec.__all__).union(*map(dir, modules)))
 
 
 def test_readme_python_example_runs(ex_op):

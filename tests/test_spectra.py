@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bcspec import (
-    BaseNotEigenvalueError,
     Bicomplex,
     BicomplexOperator,
     BicomplexVector,
@@ -16,16 +15,14 @@ from bcspec import (
     VectorClass,
     classify_vector,
     component_spectra,
-    contains_idempotent_product,
     eigenspace_sum,
+    eigenvalues,
     is_singular_operator,
     modified_eigenspace,
-    modified_family,
     shift,
 )
 import bcspec.linalg
 import bcspec.spectra
-from bcspec.linalg import cluster_tolerance
 from bcspec.oracle import (
     PROFILES,
     Rng,
@@ -84,8 +81,8 @@ class TestComponentSpectra:
     def test_each_side_carries_its_cluster_tolerance(self, ex_op):
         for ct in (1e-8, 1e-3):
             rep = component_spectra(ex_op, ct)
-            assert rep.upsilon1.tol == cluster_tolerance(ex_op.t1, ct)
-            assert rep.upsilon2.tol == cluster_tolerance(ex_op.t2, ct)
+            assert rep.upsilon1.tol == eigenvalues(ex_op.t1, ct).tol
+            assert rep.upsilon2.tol == eigenvalues(ex_op.t2, ct).tol
 
     def test_zero_operator(self):
         rep = component_spectra(BicomplexOperator.zero(2))
@@ -146,27 +143,23 @@ class TestModifiedCriterion:
 
 
 class TestModifiedFamily:
+    """kappa1*e1 + w*e2 is modified for every w when kappa1 is in Y1 (and symmetrically)."""
+
     def test_family_through_one(self, ex_op):
-        members = modified_family(component_spectra(ex_op), True, 1.0, [0.0, 2.0, 1j, 1 + 1j])
-        assert len(members) == 4
-        for m in members:
-            verdict, _ = _modified_verdict(ex_op, m.kappa)
+        for w in [0.0, 2.0, 1j, 1 + 1j]:
+            verdict, _ = _modified_verdict(ex_op, Bicomplex(1.0, w))
             assert verdict
-            assert m.kappa.minus == 1.0
 
     def test_family_through_zero(self, ex_op):
-        members = modified_family(component_spectra(ex_op), True, 0.0, [3.0])
-        assert members[0].kappa == Bicomplex(0.0, 3.0)
-        verdict, _ = _modified_verdict(ex_op, members[0].kappa)
+        verdict, _ = _modified_verdict(ex_op, Bicomplex(0.0, 3.0))
         assert verdict
 
     def test_plus_side_family(self, ex_op):
-        members = modified_family(component_spectra(ex_op), False, 1.0, [7.0])
-        assert members[0].kappa == Bicomplex(7.0, 1.0)
+        verdict, _ = _modified_verdict(ex_op, Bicomplex(7.0, 1.0))
+        assert verdict
 
     def test_base_outside_rejected(self, ex_op):
-        with pytest.raises(BaseNotEigenvalueError):
-            modified_family(component_spectra(ex_op), True, 4.0, [0.0])
+        assert not component_spectra(ex_op).upsilon1.contains(4.0)
 
 
 class TestUpsilonDescription:
@@ -202,30 +195,34 @@ class TestUpsilonDescription:
             assert desc.upsilon1.values and desc.upsilon2.values
 
 
+def _grid_cases(report) -> list:
+    """The case classify_modified gives each pair of the grid Y1 xe Y2."""
+    y1, y2 = report.upsilon1.value_list(), report.upsilon2.value_list()
+    return [report.classify_modified(Bicomplex(k1, k2)) for k1 in y1 for k2 in y2]
+
+
+def _witness(report) -> Bicomplex:
+    """The containment witness verify checks: Y1's first value, and a plus part past every member of Y2."""
+    away = max(abs(v) for v in report.upsilon2.value_list())
+    return Bicomplex(report.upsilon1.value_list()[0], away + 1.0 + 10.0 * report.upsilon2.tol)
+
+
 class TestContainment:
+    """The grid Y1 xe Y2 lies properly inside the modified spectrum."""
+
     def test_worked_example(self, ex_op):
-        rec = contains_idempotent_product(component_spectra(ex_op))
-        assert len(rec.pairs) == 2  # {0,1} x {1}
-        assert all(p.case is ModifiedCase.BOTH for p in rec.pairs)
-        assert rec.witness is not None
-        assert rec.witness.case is ModifiedCase.ONLY_MINUS
+        rep = component_spectra(ex_op)
+        assert _grid_cases(rep) == [ModifiedCase.BOTH] * 2  # {0,1} x {1}
+        assert rep.classify_modified(_witness(rep)) is ModifiedCase.ONLY_MINUS
 
     def test_witness_outside_grid(self, ex_op):
         rep = component_spectra(ex_op)
-        witness = contains_idempotent_product(component_spectra(ex_op)).witness
-        assert rep.upsilon1.contains(witness.kappa.minus)
-        assert not rep.upsilon2.contains(witness.kappa.plus)
+        witness = _witness(rep)
+        assert rep.upsilon1.contains(witness.minus)
+        assert not rep.upsilon2.contains(witness.plus)
 
     def test_identity_operator(self):
-        rec = contains_idempotent_product(component_spectra(BicomplexOperator.identity(2)))
-        assert [p.case for p in rec.pairs] == [ModifiedCase.BOTH]
-
-    def test_rejected_pair_reports_none(self, ex_op, monkeypatch):
-        report = component_spectra(ex_op)
-        monkeypatch.setattr(bcspec.spectra.SpectrumReport, "classify_modified", lambda self, kappa: None)
-        rec = contains_idempotent_product(report)
-        assert len(rec.pairs) == 2
-        assert all(p.case is None for p in rec.pairs)
+        assert _grid_cases(component_spectra(BicomplexOperator.identity(2))) == [ModifiedCase.BOTH]
 
 
 class TestModifiedEigenspace:

@@ -1,7 +1,11 @@
 """The suite runner itself: coverage, determinism, sensitivity."""
 
+import json
+
 import pytest
 
+import bcspec.spectra
+from bcspec.cli import main
 from bcspec.verify import SUITES, run_sum_search, run_verify
 
 
@@ -41,6 +45,19 @@ def test_fault_injection_is_detected():
     assert kernel.failures > 0
     # the fault is local to the kernel path; everything else stays green
     assert all(s.passed for s in report.suites if s.name != "kernel_image")
+
+
+def test_faulty_criterion_fails_its_suites(monkeypatch, capsys):
+    # A criterion that rejects every kappa is reported with replay keys, not raised.
+    monkeypatch.setattr(bcspec.spectra.SpectrumReport, "classify_modified", lambda self, kappa: None)
+    report = run_verify(trials=3, seed=7)
+    failed = {s.name: s for s in report.suites if not s.passed}
+    assert {"containment", "infinite_family"} <= set(failed)
+    for suite in failed.values():
+        assert suite.messages
+        assert all(f"[seed=7 suite={suite.name} trial=" in m for m in suite.messages)
+    assert main(["verify", "--trials", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 @pytest.mark.usefixtures("swapped_kernel")
