@@ -117,8 +117,8 @@ def _eigenset_json(es) -> list[dict]:
     ]
 
 
-def _subspace_json(space) -> list[list[list[float]]]:
-    return [jsonio.cvector_to_json(v) for v in space.vectors()]
+def _subspace_json(basis) -> list[list[list[float]]]:
+    return [jsonio.cvector_to_json(v) for v in basis.T]
 
 
 # -- commands -------------------------------------------------------------
@@ -210,8 +210,8 @@ def _cmd_space(args, report: dict) -> int:
             is_modified_eigenvalue=True,
             case=space.case.value,
             dimension=space.dim,
-            dim_minus=space.minus_basis.dim,
-            dim_plus=space.plus_basis.dim,
+            dim_minus=space.minus_basis.shape[1],
+            dim_plus=space.plus_basis.shape[1],
             minus_basis=_subspace_json(space.minus_basis),
             plus_basis=_subspace_json(space.plus_basis),
             assembled=[jsonio.vector_to_json(v) for v in space.assembled],
@@ -371,8 +371,6 @@ def main(argv=None) -> int:
         if hasattr(args, "cluster_tol"):
             _check_tolerance("--cluster-tol", args.cluster_tol)
             report["cluster_tol"] = args.cluster_tol
-        if getattr(args, "trials", 1) < 1:
-            raise ParseError("--trials must be at least 1")
         code = args.fn(args, report)
         _emit(report, args)
         return code

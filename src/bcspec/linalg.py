@@ -1,10 +1,10 @@
 """Dense complex linear algebra over C1.
 
 Everything the componentwise bicomplex computations need: one rank
-decision behind singularity tests, nullspaces and column spaces, an
-eigensolver that clusters (value, count) pairs on one distance matrix and
-keeps the eigenvector of each simple eigenvalue, and one membership rule
-(EigenSet.near).
+decision behind singularity tests, nullspaces and column spaces as (n, k)
+arrays of orthonormal columns, an eigensolver that clusters (value, count)
+pairs on one distance matrix and keeps the eigenvector of each simple
+eigenvalue, and one membership rule (EigenSet.near).
 Factorizations are numpy's LAPACK calls on the matrix scaled by a power of
 two (see _scaled): one SVD for each rank decision (see _svd), and one eig
 per matrix for its eigenvalues and eigenvectors.  Every norm and tolerance
@@ -64,48 +64,6 @@ def _require_square(a: np.ndarray, op: str) -> int:
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{op} requires a square matrix, got shape {a.shape}")
     return a.shape[0]
-
-
-@dataclass(eq=False)
-class CSubspace:
-    """Subspace of C1^n held as an orthonormal basis (columns); may be zero-dimensional."""
-
-    ambient_dim: int
-    basis: np.ndarray  # shape (ambient_dim, dim), orthonormal columns
-
-    def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=np.complex128)
-        if self.basis.ndim != 2 or self.basis.shape[0] != self.ambient_dim:
-            raise ValueError(
-                f"basis shape {self.basis.shape} inconsistent with ambient dim {self.ambient_dim}"
-            )
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "CSubspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "CSubspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def vectors(self) -> list[np.ndarray]:
-        return [self.basis[:, k].copy() for k in range(self.dim)]
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros(self.ambient_dim, dtype=np.complex128)
-        return self.basis @ (self.basis.conj().T @ v)
-
-    def contains(self, v, rel_tol: float = 1e-8) -> bool:
-        v = np.asarray(v, dtype=np.complex128)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return True
-        return float(np.linalg.norm(v - self.project(v))) <= rel_tol * nv
 
 
 @dataclass(frozen=True)
@@ -192,8 +150,8 @@ def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool:
     return _svd(a, tol)[0] < n
 
 
-def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CSubspace:
-    """Orthonormal basis of {v : A v ≈ 0}: the trailing right singular vectors.
+def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> np.ndarray:
+    """Orthonormal basis of {v : A v ≈ 0} as the columns of an (n, k) array: the trailing right singular vectors.
 
     Rank is decided by the singular values at the threshold described in
     _svd, the same decision is_singular_matrix makes, so the decision errs
@@ -201,27 +159,23 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> CS
     """
     a = as_carray(a)
     m, n = a.shape
-    if n == 0:
-        return CSubspace.zero(0)
-    if m == 0:
-        return CSubspace.full(n)
+    if m == 0 or n == 0:  # every vector of C^n is in the nullspace of an empty A
+        return np.eye(n, dtype=np.complex128)
 
     rank, (_, _, vh) = _svd(a, tol, threshold, vectors=True)
-    if rank == n:
-        return CSubspace.zero(n)
     if rank == 0:
-        return CSubspace.full(n)
-    return CSubspace(n, vh[rank:].conj().T)
+        return np.eye(n, dtype=np.complex128)
+    return vh[rank:].conj().T
 
 
-def column_space(a, tol: float = DEFAULT_TOL) -> CSubspace:
-    """Orthonormal basis of the range of A: the leading left singular vectors (see _svd)."""
+def column_space(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the range of A as the columns of an (m, r) array: the leading left singular vectors (see _svd)."""
     a = as_carray(a)
     m, n = a.shape
     if m == 0 or n == 0:
-        return CSubspace.zero(m)
+        return np.zeros((m, 0), dtype=np.complex128)
     rank, (u, _, _) = _svd(a, tol, vectors=True)
-    return CSubspace(m, u[:, :rank])
+    return u[:, :rank]
 
 
 def _moduli(z: np.ndarray, w) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex, IdealClass
 from .errors import DimensionMismatchError, NonSquareError
-from .linalg import CSubspace, as_carray, column_space, frobenius, is_singular_matrix, nullspace
+from .linalg import as_carray, column_space, frobenius, is_singular_matrix, nullspace
 
 
 class VectorClass(Enum):
@@ -46,18 +46,6 @@ class BicomplexVector:
     @classmethod
     def zero(cls, n: int) -> "BicomplexVector":
         return cls(np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128))
-
-    @classmethod
-    def from_minus(cls, u) -> "BicomplexVector":
-        """e1 * u for a complex vector u."""
-        u = as_carray(u, ndim=1)
-        return cls(u, np.zeros_like(u))
-
-    @classmethod
-    def from_plus(cls, w) -> "BicomplexVector":
-        """e2 * w for a complex vector w."""
-        w = as_carray(w, ndim=1)
-        return cls(np.zeros_like(w), w)
 
     @property
     def n(self) -> int:
@@ -193,8 +181,8 @@ def shift(op: BicomplexOperator, kappa) -> BicomplexOperator:
     return BicomplexOperator(op.t1 - kappa.minus * eye, op.t2 - kappa.plus * eye)
 
 
-def kernel(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> tuple[CSubspace, CSubspace]:
-    """Component nullspace pair (ker t1, ker t2).
+def kernel(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Component nullspace pair (ker t1, ker t2), each an orthonormal basis array (see nullspace).
 
     The bicomplex kernel is exactly {e1*u + e2*w : u in the first, w in the
     second}; its dimension over C1 is the sum of the component nullities.
@@ -202,16 +190,16 @@ def kernel(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> tuple[CSubspace, 
     return nullspace(op.t1, tol), nullspace(op.t2, tol)
 
 
-def image(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> tuple[CSubspace, CSubspace]:
-    """Component column-space pair (Im t1, Im t2)."""
+def image(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Component column-space pair (Im t1, Im t2), each an orthonormal basis array (see column_space)."""
     return column_space(op.t1, tol), column_space(op.t2, tol)
 
 
-def assemble_pair_basis(pair: tuple[CSubspace, CSubspace]) -> list[BicomplexVector]:
-    """Materialize {e1*u_k} ∪ {e2*w_j} from a component subspace pair."""
-    minus_space, plus_space = pair
-    out = [BicomplexVector.from_minus(u) for u in minus_space.vectors()]
-    out.extend(BicomplexVector.from_plus(w) for w in plus_space.vectors())
+def assemble_pair_basis(pair: tuple[np.ndarray, np.ndarray]) -> list[BicomplexVector]:
+    """Materialize {e1*u_k} ∪ {e2*w_j} from the columns of a component basis pair."""
+    minus_basis, plus_basis = pair
+    out = [BicomplexVector(u, np.zeros_like(u)) for u in minus_basis.T]
+    out.extend(BicomplexVector(np.zeros_like(w), w) for w in plus_basis.T)
     return out
 
 

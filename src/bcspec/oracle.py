@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex, IdealClass
 from .errors import ZeroVectorError
-from .linalg import CSubspace
 from .operators import BicomplexOperator, BicomplexVector
 
 
@@ -161,8 +160,8 @@ def _gram_schmidt(columns: np.ndarray) -> np.ndarray:
 
 def brute_modified_eigenspace(
     op: BicomplexOperator, kappa: Bicomplex, tol: float = 1e-8
-) -> CSubspace:
-    """Nullspace of the shifted block embedding, in C1^(2n).
+) -> np.ndarray:
+    """Orthonormal basis (columns) of the nullspace of the shifted block embedding, in C1^(2n).
 
     Its dimension must equal the componentwise (structure) dimension of the
     modified eigenspace of kappa.
@@ -170,7 +169,7 @@ def brute_modified_eigenspace(
     block = block_embed(op) - np.diag(np.repeat([kappa.minus, kappa.plus], op.n))
     threshold = tol * (1.0 + np.linalg.norm(block))
     raw = elimination_nullspace(block, threshold)
-    return CSubspace(block.shape[1], _gram_schmidt(raw))
+    return _gram_schmidt(raw)
 
 
 # -- random instances with planted structure ----------------------------

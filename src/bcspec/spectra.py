@@ -43,7 +43,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
-    CSubspace,
     EigenSet,
     as_carray,
     cluster_points,
@@ -155,19 +154,19 @@ def component_spectra(
 class ModifiedEigenspace:
     """Constructive basis of { v : T v = kappa v }.
 
-    The space splits componentwise: minus_basis spans the t1-eigenspace of
-    kappa^- (zero space when kappa^- is not an eigenvalue), plus_basis the
-    t2-eigenspace of kappa^+.
+    The space splits componentwise: the orthonormal columns of the (n, k)
+    array minus_basis span the t1-eigenspace of kappa^- (k = 0 when kappa^-
+    is not an eigenvalue), those of plus_basis the t2-eigenspace of kappa^+.
     """
 
     kappa: Bicomplex
     case: ModifiedCase
-    minus_basis: CSubspace
-    plus_basis: CSubspace
+    minus_basis: np.ndarray
+    plus_basis: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.minus_basis.dim + self.plus_basis.dim
+        return self.minus_basis.shape[1] + self.plus_basis.shape[1]
 
     @cached_property
     def assembled(self) -> list[BicomplexVector]:
@@ -186,19 +185,19 @@ class ModifiedEigenspace:
     def max_residual(self, op: BicomplexOperator) -> float:
         """Largest ||T v - kappa v|| over the assembled basis; for v = e1*u (e2*u) that is the
         frobenius norm of the one nonzero side, t u - kappa^± u."""
-        n = self.minus_basis.ambient_dim
+        n = self.minus_basis.shape[0]
         if op.shape[1] != n:
             raise DimensionMismatchError(f"operator {op.shape} cannot act on a vector of length {n}")
         worst = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: as_carray rejects it
-            for u in self.minus_basis.vectors():
+            for u in self.minus_basis.T:
                 worst = max(worst, frobenius(as_carray(op.t1 @ u - self.kappa.minus * u, ndim=1)))
-            for w in self.plus_basis.vectors():
+            for w in self.plus_basis.T:
                 worst = max(worst, frobenius(as_carray(op.t2 @ w - self.kappa.plus * w, ndim=1)))
         return worst
 
 
-def _side_space(es: EigenSet, t: np.ndarray, z: complex, near: list[int]) -> CSubspace | None:
+def _side_space(es: EigenSet, t: np.ndarray, z: complex, near: list[int]) -> np.ndarray | None:
     """The eigenspace of z in t, whose spectrum is es, from the clusters near of es; None when near is empty.
 
     The eig vector es keeps when near is one simple cluster, else the
@@ -207,7 +206,7 @@ def _side_space(es: EigenSet, t: np.ndarray, z: complex, near: list[int]) -> CSu
     if not near:
         return None
     if len(near) == 1 and es.vectors[near[0]] is not None:
-        return CSubspace(len(t), es.vectors[near[0]][:, None])
+        return es.vectors[near[0]][:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: nullspace rejects it
         shifted = t - z * np.eye(len(t), dtype=np.complex128)
     return nullspace(shifted, threshold=es.tol)
@@ -228,7 +227,7 @@ def modified_eigenspace(report: SpectrumReport, kappa: Bicomplex, clusters=None)
     case = _case(minus is not None, plus is not None)
     if case is None:
         raise NotModifiedEigenvalueError(f"{kappa} is not a modified eigenvalue")
-    zero = CSubspace.zero(op.n)
+    zero = np.zeros((op.n, 0), dtype=np.complex128)
     return ModifiedEigenspace(kappa, case, zero if minus is None else minus, zero if plus is None else plus)
 
 
@@ -259,7 +258,7 @@ def eigenspace_sum(
     first = modified_eigenspace(report, kappa)
     second = modified_eigenspace(report, kappa_prime)
     sum_dim = sum(
-        column_space(np.hstack([a.basis, b.basis]), tol).dim
+        column_space(np.hstack([a, b]), tol).shape[1]
         for a, b in ((first.minus_basis, second.minus_basis), (first.plus_basis, second.plus_basis))
     )
     inter_dim = first.dim + second.dim - sum_dim

@@ -9,6 +9,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +85,12 @@ class _Check:
 
 
 def _far_scalar(gen, *eigensets: EigenSet) -> complex:
-    """A complex draw at distance > 1e-3 from every listed spectrum."""
+    """A complex draw at distance > 1e-3 from every listed spectrum.
+
+    The distance, math.hypot of the part differences, is abs bit for bit but inf where abs raises."""
     c = complex(complex_normal(gen)) * 2.0
     for _ in range(100):
-        if all(abs(c - v) > 1e-3 for es in eigensets for v, _ in es.values):
+        if all(math.hypot(c.real - v.real, c.imag - v.imag) > 1e-3 for es in eigensets for v, _ in es.values):
             return c
         c = c + 2.5
     return c
@@ -116,9 +119,14 @@ def _raw_cylinder(op: BicomplexOperator, cluster_tol: float):
     return on_cylinder
 
 
-def _check_sampling(seed: int, n_min: int, n_max: int) -> None:
+def _check_run(seed: int, trials: int) -> None:
+    if trials < 1:
+        raise InvalidArgumentError("trials must be at least 1")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+
+
+def _check_sizes(n_min: int, n_max: int) -> None:
     if not (1 <= n_min <= n_max):
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
 
@@ -204,7 +212,7 @@ def _suite_kernel_image(check, rng, n, tol, cluster_tol):
         if profile == "rank-deficient" and trial % 4 == 2:
             op = BicomplexOperator(op.t2, op.t1)  # exercise deficiency on both sides
     k1, k2 = kernel(op, tol)
-    impl_dim = k1.dim + k2.dim
+    impl_dim = k1.shape[1] + k2.shape[1]
     block = block_embed(op)
     brute = elimination_nullspace(block, tol * (1.0 + np.linalg.norm(block)) * max(block.shape))
     check(
@@ -216,8 +224,8 @@ def _suite_kernel_image(check, rng, n, tol, cluster_tol):
         check(apply(op, v).norm() <= bound, "assembled kernel vector not annihilated")
     i1, i2 = image(op, tol)
     cols = op.shape[1]
-    check(i1.dim + k1.dim == cols, f"rank-nullity broken on t1: {i1.dim}+{k1.dim} != {cols}")
-    check(i2.dim + k2.dim == cols, f"rank-nullity broken on t2: {i2.dim}+{k2.dim} != {cols}")
+    check(i1.shape[1] + k1.shape[1] == cols, f"rank-nullity broken on t1: {i1.shape[1]}+{k1.shape[1]} != {cols}")
+    check(i2.shape[1] + k2.shape[1] == cols, f"rank-nullity broken on t2: {i2.shape[1]}+{k2.shape[1]} != {cols}")
 
 
 def _suite_operator_singularity(check, rng, n, tol, cluster_tol):
@@ -228,7 +236,7 @@ def _suite_operator_singularity(check, rng, n, tol, cluster_tol):
     singular = is_singular_operator(op, tol)
     via_elimination = _singular_by_elimination(op.t1, tol) or _singular_by_elimination(op.t2, tol)
     k1, k2 = kernel(op, tol)
-    via_kernel = (k1.dim + k2.dim) > 0
+    via_kernel = (k1.shape[1] + k2.shape[1]) > 0
     check(
         singular == via_elimination,
         f"operator verdict {singular} != elimination route {via_elimination}",
@@ -291,7 +299,7 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol):
     on_cylinder = _raw_cylinder(op, cluster_tol)
     for kappa in kappas:
         verdict = report.classify_modified(kappa) is not None
-        brute_dim = brute_modified_eigenspace(op, kappa, cluster_tol).dim
+        brute_dim = brute_modified_eigenspace(op, kappa, cluster_tol).shape[1]
         singular = is_singular_operator(shift(op, kappa), tol)
         check(verdict == on_cylinder(kappa), f"criterion vs membership split at {kappa}")
         check(verdict == singular, f"criterion vs shifted-singularity split at {kappa}")
@@ -328,7 +336,7 @@ def _suite_infinite_family(check, rng, n, tol, cluster_tol):
         check(report.classify_modified(kappa) is not None, f"family member {kappa} rejected")
     probe = Bicomplex(base1, samples[1])
     check(
-        brute_modified_eigenspace(op, probe, cluster_tol).dim > 0,
+        brute_modified_eigenspace(op, probe, cluster_tol).shape[1] > 0,
         "family member invisible to the block oracle",
     )
     outside = _far_scalar(gen, report.upsilon1)
@@ -373,11 +381,11 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
     for kappa, brute in zip(kappas, brutes):
         space = modified_eigenspace(report, kappa)
         check(
-            space.dim == brute.dim,
-            f"structure dim {space.dim} != block dim {brute.dim} at {kappa} ({profile})",
+            space.dim == brute.shape[1],
+            f"structure dim {space.dim} != block dim {brute.shape[1]} at {kappa} ({profile})",
         )
         check(
-            space.dim == space.minus_basis.dim + space.plus_basis.dim,
+            space.dim == space.minus_basis.shape[1] + space.plus_basis.shape[1],
             "dimension bookkeeping broken",
         )
         check(space.max_residual(op) <= bound, f"residual above {bound} at {kappa}")
@@ -395,7 +403,7 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
     for attempt in range(20):
         probe = random_vector(rng.child(7, attempt), n)
         flat = np.concatenate([probe.minus, probe.plus])
-        inside = np.linalg.norm(flat - brute.project(flat)) <= 1e-3 * np.linalg.norm(flat)
+        inside = np.linalg.norm(flat - brute @ (brute.conj().T @ flat)) <= 1e-3 * np.linalg.norm(flat)
         if not inside:
             check(
                 residual_norm(op, kappa, probe) > 10.0 * bound,
@@ -537,9 +545,8 @@ def run_verify(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> VerifyReport:
     """Run every suite for `trials` seeded trials with n cycling n_min..n_max."""
-    if trials < 1:
-        raise InvalidArgumentError("trials must be at least 1")
-    _check_sampling(seed, n_min, n_max)
+    _check_run(seed, trials)
+    _check_sizes(n_min, n_max)
     span = n_max - n_min + 1
     results = []
     for suite_index, (name, statement, fn) in enumerate(SUITES):
@@ -579,8 +586,14 @@ def run_sum_search(
     tol: float = DEFAULT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> SumSearchReport:
-    """Sample pairs of modified eigenvalues and test whether their eigenspace sum is direct."""
-    _check_sampling(seed, n_min, n_max)
+    """Sample pairs of modified eigenvalues and test whether their eigenspace sum is direct.
+
+    Each trial draws an operator of size n cycling n_min..n_max, or takes the
+    given operator, in which case n_min and n_max are not read.
+    """
+    _check_run(seed, trials)
+    if operator is None:
+        _check_sizes(n_min, n_max)
     span = n_max - n_min + 1
     direct = 0
     non_direct = 0

@@ -44,6 +44,12 @@ def side_eigenspaces(a):
     return es, [s.minus_basis for s in spaces]
 
 
+def in_span(basis, v, rel_tol: float = 1e-8) -> bool:
+    """v lies in the span of the orthonormal columns of basis: ||v - basis basis^H v|| <= rel_tol * ||v||."""
+    v = np.asarray(v, dtype=complex)
+    return np.linalg.norm(v - basis @ (basis.conj().T @ v)) <= rel_tol * np.linalg.norm(v)
+
+
 def close2ulp(a: float, b: float, scale: float | None = None) -> bool:
     """|a - b| within 2 units in the last place, measured at the given scale.
 

@@ -223,14 +223,14 @@ def test_criterion_4_eigenspace_structure():
             space = modified_eigenspace(component_spectra(op), kappa)
             brute = brute_modified_eigenspace(op, kappa)
             assert space.case.value == case, f"instance {i}: case {space.case} != {case}"
-            assert space.dim == brute.dim, (
+            assert space.dim == brute.shape[1], (
                 f"instance {i} ({case}, defective={defective}): "
-                f"structure dim {space.dim} != block dim {brute.dim}"
+                f"structure dim {space.dim} != block dim {brute.shape[1]}"
             )
             if defective:
                 defective_seen += 1
                 side = space.minus_basis if case != "OnlyPlus" else space.plus_basis
-                assert side.dim == 1  # geometric 1 under algebraic 2
+                assert side.shape[1] == 1  # geometric 1 under algebraic 2
             if case != "Both":
                 for v in space.assembled:
                     assert classify_vector(v) is VectorClass.SINGULAR_NONZERO
@@ -263,8 +263,8 @@ def test_criterion_5_eigensolver_quality():
             es, spaces = side_eigenspaces(a)
             bound = 1e-8 * (1.0 + frobenius(a))
             for (lam, _), space in zip(es.values, spaces):
-                assert space.dim >= 1
-                for v in space.vectors():
+                assert space.shape[1] >= 1
+                for v in space.T:
                     res = float(np.linalg.norm(a @ v - lam * v))
                     worst = max(worst, res / bound)
                     assert res <= bound

@@ -419,6 +419,24 @@ class TestExploreSum:
         for w in report["witnesses"]:
             assert {"kappa", "kappa_prime", "sum_dim", "intersection_dim"} <= set(w)
 
+    def test_search_on_a_given_operator_reads_no_sizes(self, capsys, op_file):
+        search = ["explore-sum", "--search", "--trials", "6", "--seed", "3"]
+        code, plain, _ = run_cli(capsys, *search, "--input", op_file)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *search, "--input", op_file, "--n-min", "5", "--n-max", "3")
+        assert code == 0 and out == plain
+        # sampled operators take their sizes from the range, so it is still checked
+        code, out, err = run_cli(capsys, *search, "--n-min", "5", "--n-max", "3")
+        assert code == 2 and out == "" and "n_min <= n_max" in err
+
+    def test_search_with_a_distance_beyond_the_float_range(self, capsys):
+        # t1 = diag(1.5e308(1+i), 1), t2 = 0: |far - 1.5e308(1+i)| overflows Python's abs
+        op = '{"t1":[[[1.5e308,1.5e308],[0,0]],[[0,0],[1,0]]],"t2":[[[0,0],[0,0]],[[0,0],[0,0]]]}'
+        code, out, err = run_cli(capsys, "explore-sum", "--search", "--input", op, "--trials", "5")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["direct_count"] + report["non_direct_count"] <= 5
+
     def test_non_member_kappa_is_parse_level_error(self, capsys, op_file):
         code, _, err = run_cli(
             capsys,
@@ -615,9 +633,12 @@ class TestErrorHandling:
             ["explore-sum", "--search", "--n-min", "0"],
             ["explore-sum", "--search", "--n-min", "3", "--n-max", "2"],
             ["explore-sum", "--search", "--seed", "-1", "--trials", "1"],
+            ["verify", "--trials", "0"],
+            ["explore-sum", "--search", "--trials", "0"],
         ],
         ids=["equal-kappas", "verify-n-min-0", "verify-empty-range", "verify-negative-seed",
-             "search-n-min-0", "search-empty-range", "search-negative-seed"],
+             "search-n-min-0", "search-empty-range", "search-negative-seed", "verify-no-trials",
+             "search-no-trials"],
     )
     def test_invalid_argument_exit_2(self, capsys, op_file, argv):
         if argv[0] == "explore-sum" and "--search" not in argv:

@@ -19,12 +19,13 @@ from bcspec import (
     eigenspace_sum,
     eigenvalues,
     is_singular_matrix,
+    modified_eigenspace,
     nullspace,
     column_space,
 )
 from bcspec.core import DEFAULT_TOL
 from bcspec.linalg import cluster_points, frobenius
-from conftest import side_eigenspaces
+from conftest import in_span, side_eigenspaces
 
 
 def _companion(roots) -> np.ndarray:
@@ -44,14 +45,14 @@ def _complex_gauss(rng, shape):
 class TestNullspace:
     def test_zero_matrix_full(self):
         space = nullspace(np.zeros((2, 2)))
-        assert space.dim == 2
-        assert np.linalg.norm(space.basis.conj().T @ space.basis - np.eye(space.dim)) <= 1e-10
+        assert space.shape[1] == 2
+        assert np.linalg.norm(space.conj().T @ space - np.eye(space.shape[1])) <= 1e-10
 
     def test_projection(self):
         space = nullspace(np.array([[1, 0], [0, 0]], dtype=complex))
-        assert space.dim == 1
-        assert space.contains([0, 1])
-        assert not space.contains([1, 0])
+        assert space.shape[1] == 1
+        assert in_span(space, [0, 1])
+        assert not in_span(space, [1, 0])
 
     @pytest.mark.parametrize("n,r", [(4, 1), (4, 3), (6, 2), (5, 0), (3, 2)])
     def test_planted_rank(self, n, r):
@@ -61,18 +62,18 @@ class TestNullspace:
         else:
             a = _complex_gauss(rng, (n, r)) @ _complex_gauss(rng, (r, n))
         space = nullspace(a)
-        assert space.dim == n - r
-        assert np.linalg.norm(space.basis.conj().T @ space.basis - np.eye(space.dim)) <= 1e-10
-        for v in space.vectors():
+        assert space.shape[1] == n - r
+        assert np.linalg.norm(space.conj().T @ space - np.eye(space.shape[1])) <= 1e-10
+        for v in space.T:
             assert np.linalg.norm(a @ v) <= 1e-10 * max(frobenius(a), 1.0)
 
     def test_rectangular(self):
         rng = np.random.default_rng(7)
         a = _complex_gauss(rng, (2, 5))
         space = nullspace(a)
-        assert space.dim == 3
+        assert space.shape[1] == 3
         a2 = _complex_gauss(rng, (5, 2))
-        assert nullspace(a2).dim == 0
+        assert nullspace(a2).shape[1] == 0
 
     def test_column_space_rank_nullity(self):
         rng = np.random.default_rng(11)
@@ -84,7 +85,24 @@ class TestNullspace:
                 if r
                 else np.zeros((n, n), dtype=complex)
             )
-            assert column_space(a).dim + nullspace(a).dim == n
+            assert column_space(a).shape[1] + nullspace(a).shape[1] == n
+
+
+def test_subspaces_are_complex128_basis_arrays():
+    # zero, proper and full spaces, real or complex input: (n, k) complex128 arrays
+    n = 3
+    proper = np.diag([1.0, 1.0, 0.0])
+    for a, k_null in ((np.eye(n), 0), (proper, 1), (np.zeros((n, n)), n), (np.zeros((0, n)), n)):
+        m, rank = a.shape[0], n - k_null
+        for space, shape in ((nullspace(a), (n, k_null)), (column_space(a), (m, rank))):
+            assert space.dtype == np.complex128 and space.shape == shape
+    # sides from the eig vector (n, 1), the nullspace (n, 2), the zero space (n, 0) and the full space (n, n)
+    op = BicomplexOperator(np.diag([2.0, 1.0, 1.0]), np.eye(n))
+    report = component_spectra(op)
+    for kappa, want in (((2.0, 5.0), (1, 0)), ((1.0, 5.0), (2, 0)), ((7.0, 1.0), (0, n))):
+        space = modified_eigenspace(report, Bicomplex(*kappa))
+        for side, k in zip((space.minus_basis, space.plus_basis), want):
+            assert side.dtype == np.complex128 and side.shape == (n, k)
 
 
 class TestEigenDecompose:
@@ -94,13 +112,13 @@ class TestEigenDecompose:
         es, spaces = side_eigenspaces(np.array([[1, 0], [0, 0]], dtype=complex))
         assert [(v, m) for v, m in es.values] == [(0.0, 1), (1.0, 1)]
         by_value = dict(zip(es.value_list(), spaces))
-        assert by_value[0.0].contains([0, 1])
-        assert by_value[1.0].contains([1, 0])
+        assert in_span(by_value[0.0], [0, 1])
+        assert in_span(by_value[1.0], [1, 0])
 
     def test_identity(self):
         es, spaces = side_eigenspaces(np.eye(4, dtype=complex))
         assert es.values == ((1.0 + 0.0j, 4),)
-        assert spaces[0].dim == 4
+        assert spaces[0].shape[1] == 4
 
     def test_companion_roots(self):
         roots = [2.0, 3.0, 5.0]
@@ -123,15 +141,15 @@ class TestEigenDecompose:
             es, spaces = side_eigenspaces(a)
             bound = 1e-8 * (1.0 + frobenius(a))
             for (lam, _), space in zip(es.values, spaces):
-                assert space.dim >= 1
-                for v in space.vectors():
+                assert space.shape[1] >= 1
+                for v in space.T:
                     assert np.linalg.norm(a @ v - lam * v) <= bound
 
     def test_geometric_at_most_algebraic(self):
         # an upper triangular block with equal diagonal is defective
         a = np.array([[2, 0.01, 0], [0, 2, 0], [0, 0, 5]], dtype=complex)
         es, spaces = side_eigenspaces(a)
-        by_value = {round(v.real): (m, s.dim) for (v, m), s in zip(es.values, spaces)}
+        by_value = {round(v.real): (m, s.shape[1]) for (v, m), s in zip(es.values, spaces)}
         assert by_value[2] == (2, 1)
         assert by_value[5] == (1, 1)
 
@@ -204,28 +222,28 @@ class TestSingularityAgreement:
                 a = _complex_gauss(rng, (n, n))
                 expect = False
             assert is_singular_matrix(a) == expect
-            assert (nullspace(a).dim > 0) == expect
+            assert (nullspace(a).shape[1] > 0) == expect
         with pytest.raises(NonSquareError):
             is_singular_matrix(np.zeros((2, 3)))
 
     def test_tiny_but_square_is_singular(self):
         # floor-at-1 convention: a near-zero matrix counts as singular
         assert is_singular_matrix(np.array([[1e-16]]))
-        assert nullspace(np.array([[1e-16]])).dim == 1
+        assert nullspace(np.array([[1e-16]])).shape[1] == 1
         subnormal = np.array([[5e-324, 1e-310], [0, 5e-324]])
         assert is_singular_matrix(subnormal)
-        assert nullspace(subnormal).dim == 2 and column_space(subnormal).dim == 0
+        assert nullspace(subnormal).shape[1] == 2 and column_space(subnormal).shape[1] == 0
         rng = np.random.default_rng(41)
         a = _complex_gauss(rng, (40, 39)) @ _complex_gauss(rng, (39, 40))
         assert is_singular_matrix(a)
-        assert nullspace(a).dim == 1
+        assert nullspace(a).shape[1] == 1
 
     def test_small_scaled_identity_is_not(self):
         q, r = np.linalg.qr(_complex_gauss(np.random.default_rng(40), (40, 40)))
         q = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-distributed unitary
         for a in (0.01 * np.eye(6), np.eye(17), 0.1 * np.eye(50), 10.0 * np.eye(200), q):
             assert not is_singular_matrix(a)
-            assert nullspace(a).dim == 0
+            assert nullspace(a).shape[1] == 0
 
 
 #: Entries of the top-of-range CLI fuzz operators (test_cli_fuzz.top), as complex numbers.
@@ -249,7 +267,7 @@ class TestRankAtTopOfRange:
                 threshold = DEFAULT_TOL * max(fro, 1) * n
                 sigma = mpmath.svd_c(exact, compute_uv=False)
                 rank = sum(1 for k in range(n) if sigma[k] > threshold)
-                got = (is_singular_matrix(a), nullspace(a).dim, column_space(a).dim)
+                got = (is_singular_matrix(a), nullspace(a).shape[1], column_space(a).shape[1])
                 if got != (rank < n, n - rank, rank):
                     wrong.append((a.tolist(), got, rank))
         assert wrong == []
@@ -271,9 +289,9 @@ class TestKahan:
         # 4.6e-8 and 8.5e-8; s**(n-1) is 1.6e-2 and 1.9e-3.
         for n in (60, 90):
             k = _kahan(n, 1.2)
-            assert nullspace(k).dim == 1
+            assert nullspace(k).shape[1] == 1
             assert is_singular_matrix(k)
-            assert column_space(k).dim == n - 1
+            assert column_space(k).shape[1] == n - 1
 
     def test_verdicts_match_a_50_digit_svd(self):
         # Kahan matrices with n <= 12 and power-of-two copies of them, whose
@@ -293,7 +311,7 @@ class TestKahan:
                     a = np.ldexp(k, e)
                     threshold = DEFAULT_TOL * max(mpmath.ldexp(fro, e), 1) * n
                     rank = sum(1 for x in sigma if mpmath.ldexp(x, e) > threshold)
-                    got = (is_singular_matrix(a), nullspace(a).dim, column_space(a).dim)
+                    got = (is_singular_matrix(a), nullspace(a).shape[1], column_space(a).shape[1])
                     if got != (rank < n, n - rank, rank):
                         wrong.append((n, e, got, rank))
                     deficient += rank < n

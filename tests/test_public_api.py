@@ -9,7 +9,7 @@ import bcspec.errors
 import bcspec.linalg
 import bcspec.spectra
 import bcspec.verify
-from bcspec import Bicomplex, CSubspace, EigenSet, ModifiedCase
+from bcspec import Bicomplex, BicomplexVector, EigenSet, ModifiedCase
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,7 +22,6 @@ def test_all_names_resolve_once():
 def test_unused_api_stays_deleted():
     # Nothing in the package called these; T's arithmetic is on vectors and scalars.
     assert {"operator_add", "operator_neg", "operator_scale", "operator_scale_bc"}.isdisjoint(dir(bcspec))
-    assert not hasattr(CSubspace, "gram_defect")
     assert not hasattr(EigenSet, "total_multiplicity")
     # eigenspace_sum decides one rank per side; nothing else took a subspace sum or intersection
     assert {"subspace_sum", "subspace_intersection"}.isdisjoint(dir(bcspec) + dir(bcspec.linalg))
@@ -30,8 +29,11 @@ def test_unused_api_stays_deleted():
     assert {"kappa", "kappa_prime"}.isdisjoint(f.name for f in fields(bcspec.EigenspaceSumReport))
     assert "trials" not in {f.name for f in fields(bcspec.verify.SuiteResult)}
     assert not hasattr(bcspec.verify.VerifyReport, "suite")
+    # a subspace is its (n, k) basis array, and e1*u is BicomplexVector(u, zeros_like(u))
+    assert not {"from_minus", "from_plus"} & set(dir(BicomplexVector))
     # the containment and family theorems are classify_modified questions; the tolerance is eigenvalues(a).tol
     deleted = {
+        "CSubspace",
         "ModifiedEigenvalue",
         "modified_family",
         "ContainmentRecord",

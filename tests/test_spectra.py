@@ -31,6 +31,7 @@ from bcspec.oracle import (
     random_operator,
     residual,
 )
+from conftest import in_span
 
 
 def _values(eigenset):
@@ -55,7 +56,7 @@ def _ldexp(t: np.ndarray, k: int) -> np.ndarray:
 def _shape(report) -> list[tuple[int, int, int]]:
     """(multiplicity, minus dimension, plus dimension) of each eigenvalue of T, in order."""
     spaces = report.eigenspaces()
-    return [(m, s.minus_basis.dim, s.plus_basis.dim) for (_, m), s in zip(report.eigenvalues_of_T.values, spaces)]
+    return [(m, s.minus_basis.shape[1], s.plus_basis.shape[1]) for (_, m), s in zip(report.eigenvalues_of_T.values, spaces)]
 
 
 def _is_eigenvalue(op, lam):
@@ -175,7 +176,7 @@ class TestUpsilonDescription:
                 complex(rng.standard_normal(), rng.standard_normal()),
             )
             # membership by the block-embedding oracle, not by the report
-            verdict = brute_modified_eigenspace(ex_op, kappa).dim > 0
+            verdict = brute_modified_eigenspace(ex_op, kappa).shape[1] > 0
             assert (component_spectra(ex_op).classify_modified(kappa) is not None) == verdict
 
     def test_minus_members_always_contained(self, ex_op):
@@ -230,8 +231,8 @@ class TestModifiedEigenspace:
         space = modified_eigenspace(component_spectra(ex_op), Bicomplex(1.0, 2.0))
         assert space.case is ModifiedCase.ONLY_MINUS
         assert space.dim == 1
-        assert space.minus_basis.contains([1, 0])
-        assert space.plus_basis.dim == 0
+        assert in_span(space.minus_basis, [1, 0])
+        assert space.plus_basis.shape[1] == 0
         assert space.all_eigenvectors_singular
         v = space.assembled[0]
         assert classify_vector(v) is VectorClass.SINGULAR_NONZERO
@@ -241,16 +242,16 @@ class TestModifiedEigenspace:
         space = modified_eigenspace(component_spectra(ex_op), Bicomplex(1.0, 1.0))
         assert space.case is ModifiedCase.BOTH
         assert space.dim == 3
-        assert space.minus_basis.dim == 1 and space.plus_basis.dim == 2
+        assert space.minus_basis.shape[1] == 1 and space.plus_basis.shape[1] == 2
         assert not space.all_eigenvectors_singular
         # contains the non-singular eigenvector (1, e2)
-        assert space.minus_basis.contains([1, 0])
-        assert space.plus_basis.contains([1, 1])
+        assert in_span(space.minus_basis, [1, 0])
+        assert in_span(space.plus_basis, [1, 1])
 
     def test_zero_minus_eigenvalue(self, ex_op):
         space = modified_eigenspace(component_spectra(ex_op), Bicomplex(0.0, 0.0))
         assert space.dim == 1
-        assert space.minus_basis.contains([0, 1])
+        assert in_span(space.minus_basis, [0, 1])
 
     def test_assembled_is_lazy_and_cached(self, ex_op):
         space = modified_eigenspace(component_spectra(ex_op), Bicomplex(1.0, 1.0))
@@ -263,8 +264,8 @@ class TestModifiedEigenspace:
         # t1 has eigenvalues 1 and 1 + 1e-7: apart at cluster_tol 1e-8, one cluster at 1e-6
         op = BicomplexOperator(np.diag([1.0, 1.0 + 1e-7]).astype(complex), np.eye(2, dtype=complex))
         kappa = Bicomplex(1.0, 5.0)
-        assert modified_eigenspace(component_spectra(op, 1e-8), kappa).minus_basis.dim == 1
-        assert modified_eigenspace(component_spectra(op, 1e-6), kappa).minus_basis.dim == 2
+        assert modified_eigenspace(component_spectra(op, 1e-8), kappa).minus_basis.shape[1] == 1
+        assert modified_eigenspace(component_spectra(op, 1e-6), kappa).minus_basis.shape[1] == 2
 
     def test_non_member_rejected(self, ex_op):
         with pytest.raises(NotModifiedEigenvalueError):
@@ -274,7 +275,7 @@ class TestModifiedEigenspace:
         for kappa in [Bicomplex(1.0, 2.0), Bicomplex(1.0, 1.0), Bicomplex(0.0, 0.0),
                       Bicomplex(0.0, 1.0), Bicomplex(5.0, 1.0)]:
             space = modified_eigenspace(component_spectra(ex_op), kappa)
-            assert space.dim == brute_modified_eigenspace(ex_op, kappa).dim
+            assert space.dim == brute_modified_eigenspace(ex_op, kappa).shape[1]
 
 
 class TestEigenspaces:
@@ -324,7 +325,7 @@ class TestEigenspaces:
         assert len(calls) == len(side_multiples)
         for (lam, _), space in zip(report.eigenvalues_of_T.values, spaces):
             kappa = Bicomplex.from_complex(lam)
-            assert space.dim == brute_modified_eigenspace(op, kappa).dim
+            assert space.dim == brute_modified_eigenspace(op, kappa).shape[1]
             assert space.case is report.classify_modified(kappa)
             assert space.max_residual(op) <= 1e-8 * op.scale_norm()
 
@@ -335,8 +336,8 @@ class TestEigenspaces:
                 direct = modified_eigenspace(report, Bicomplex.from_complex(lam))
                 assert space.case is direct.case
                 for got, want in ((space.minus_basis, direct.minus_basis), (space.plus_basis, direct.plus_basis)):
-                    assert got.basis.shape == want.basis.shape
-                    assert got.basis.tobytes() == want.basis.tobytes()
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
     def test_simple_sides_take_no_rank_test(self, monkeypatch):
         report = component_spectra(self._clustered_op())
@@ -385,7 +386,7 @@ class TestEigenspaceAttribution:
                 m1 = sum(y1.values[i][1] for i in idx if i < k1)
                 m2 = sum(y2.values[i - k1][1] for i in idx if i >= k1)
                 assert m1 + m2 == m
-                assert space.dim <= m and space.minus_basis.dim <= m1 and space.plus_basis.dim <= m2, (op, lam)
+                assert space.dim <= m and space.minus_basis.shape[1] <= m1 and space.plus_basis.shape[1] <= m2, (op, lam)
                 total += space.dim
             assert total <= 2 * op.n
 
@@ -455,7 +456,7 @@ class TestEigenspace:
     def test_lambda_zero(self, ex_op):
         space = self._space(ex_op, 0.0)
         assert space.dim == 1
-        assert space.minus_basis.contains([0, 1])
+        assert in_span(space.minus_basis, [0, 1])
 
     def test_identity_full_space(self):
         space = self._space(BicomplexOperator.identity(3), 1.0)
@@ -513,8 +514,8 @@ class TestEigenspaceSum:
             i, j = draw.choice(len(pool), size=2, replace=False)
             kappa, kappa_prime = pool[i], pool[j]
             rep = eigenspace_sum(report, kappa, kappa_prime)
-            b1 = brute_modified_eigenspace(op, kappa).basis
-            b2 = brute_modified_eigenspace(op, kappa_prime).basis
+            b1 = brute_modified_eigenspace(op, kappa)
+            b2 = brute_modified_eigenspace(op, kappa_prime)
             inter = elimination_nullspace(np.hstack([b1, -b2]), 1e-8).shape[1]
             oracle = (b1.shape[1], b2.shape[1], b1.shape[1] + b2.shape[1] - inter, inter)
             got = (rep.dim_first, rep.dim_second, rep.sum_dim, rep.intersection_dim)
