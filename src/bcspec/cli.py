@@ -30,7 +30,7 @@ from .core import DEFAULT_TOL, Bicomplex
 from .errors import BcspecError, ConvergenceError, NonFiniteValueError, NotModifiedEigenvalueError, ParseError
 from .linalg import DEFAULT_CLUSTER_TOL
 from .operators import BicomplexMatrix, BicomplexOperator, classify_vector, is_singular_operator
-from .spectra import component_spectra, eigenspace_sum, modified_eigenspace
+from .spectra import ModifiedCase, component_spectra, eigenspace_sum, modified_eigenspace
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_sum_search, run_verify
 
 EXIT_OK = 0
@@ -216,7 +216,7 @@ def _cmd_space(args, report: dict) -> int:
             plus_basis=_subspace_json(space.plus_basis),
             assembled=[jsonio.vector_to_json(v) for v in space.assembled],
             vector_classes=[classify_vector(v, args.tol).value for v in space.assembled],
-            all_eigenvectors_singular=space.all_eigenvectors_singular,
+            all_eigenvectors_singular=space.case is not ModifiedCase.BOTH,
             max_residual=space.max_residual(op),
         )
     if args.lam is not None:
@@ -254,29 +254,36 @@ def _cmd_verify(args, report: dict) -> int:
     return EXIT_OK if result.passed else EXIT_SUITE_FAILURE
 
 
+#: The flags only `explore-sum --search` reads, with their defaults.
+_SEARCH_DEFAULTS = {"seed": DEFAULT_SEED, "trials": 100, "n_min": 2, "n_max": 4}
+
+
 def _cmd_explore_sum(args, report: dict) -> int:
+    unread = ("kappa", "kappa2") if args.search else tuple(_SEARCH_DEFAULTS)
+    given = [f"--{name.replace('_', '-')}" for name in unread if getattr(args, name) is not None]
+    if given:
+        mode = "--search" if args.search else "explicit mode"
+        raise ParseError(f"explore-sum: {mode} does not read {', '.join(given)}")
     if args.search:
+        search = {
+            name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in _SEARCH_DEFAULTS.items()
+        }
         operator = None
         if args.input is not None:
             operator = jsonio.parse_operator(_load_input(args.input))
-        result = run_sum_search(
-            seed=args.seed,
-            trials=args.trials,
-            n_min=args.n_min,
-            n_max=args.n_max,
-            operator=operator,
-            tol=args.tol,
-            cluster_tol=args.cluster_tol,
-        )
+        result = run_sum_search(**search, operator=operator, tol=args.tol, cluster_tol=args.cluster_tol)
         report.update(
             mode="search",
-            seed=args.seed,
-            trials=args.trials,
+            seed=search["seed"],
+            trials=search["trials"],
             direct_count=result.direct_count,
             non_direct_count=result.non_direct_count,
             witnesses=result.witnesses,
             note="computed findings for the sampled operators and pairs only",
         )
+        if operator is None:  # the counts depend on the sizes sampled
+            report.update(n_min=search["n_min"], n_max=search["n_max"])
         return EXIT_OK
     if args.input is None or args.kappa is None or args.kappa2 is None:
         raise ParseError("explore-sum: explicit mode needs --input, --kappa and --kappa2")
@@ -351,10 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", default=None)
     p.add_argument("--kappa2", default=None)
     p.add_argument("--search", action="store_true", help="sample kappa pairs instead of an explicit pair")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=4)
+    for name, default in _SEARCH_DEFAULTS.items():
+        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=None, help=f"--search only (default {default})")
     p.set_defaults(fn=_cmd_explore_sum)
 
     return parser

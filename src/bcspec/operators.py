@@ -160,10 +160,6 @@ class BicomplexOperator:
             raise NonSquareError(f"operator is {self.shape}, not square")
         return self.t1.shape[0]
 
-    def scale_norm(self) -> float:
-        """1 + ||t1||_F + ||t2||_F; the scale used by residual and membership bounds."""
-        return 1.0 + frobenius(self.t1) + frobenius(self.t2)
-
 
 def apply(op: BicomplexOperator, v: BicomplexVector) -> BicomplexVector:
     """T v = e1*(t1 @ v.minus) + e2*(t2 @ v.plus)."""

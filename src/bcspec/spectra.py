@@ -173,15 +173,6 @@ class ModifiedEigenspace:
         """The lifted basis {e1*u_k} ∪ {e2*w_j}; its length is the dimension over C1."""
         return assemble_pair_basis((self.minus_basis, self.plus_basis))
 
-    @property
-    def all_eigenvectors_singular(self) -> bool:
-        """The structural guarantee of the one-sided cases.
-
-        Every member is then a multiple of e1 (or of e2), hence a singular
-        vector.  In the Both case the flag is False.
-        """
-        return self.case is not ModifiedCase.BOTH
-
     def max_residual(self, op: BicomplexOperator) -> float:
         """Largest ||T v - kappa v|| over the assembled basis; for v = e1*u (e2*u) that is the
         frobenius norm of the one nonzero side, t u - kappa^± u."""

@@ -415,6 +415,7 @@ class TestExploreSum:
         report = json.loads(out)
         assert code == 0
         assert report["mode"] == "search"
+        assert (report["n_min"], report["n_max"]) == (2, 3)
         assert report["direct_count"] + report["non_direct_count"] <= report["trials"]
         for w in report["witnesses"]:
             assert {"kappa", "kappa_prime", "sum_dim", "intersection_dim"} <= set(w)
@@ -635,17 +636,21 @@ class TestErrorHandling:
             ["explore-sum", "--search", "--seed", "-1", "--trials", "1"],
             ["verify", "--trials", "0"],
             ["explore-sum", "--search", "--trials", "0"],
+            # each explore-sum mode refuses the flags only the other mode reads
+            ["explore-sum", "--kappa", '{"idem":[1,0,2,0]}', "--kappa2", '{"idem":[1,0,3,0]}',
+             "--trials", "0", "--seed", "5", "--n-min", "9"],
+            ["explore-sum", "--search", "--trials", "2", "--kappa", '{"idem":[1,0,2,0]}'],
         ],
         ids=["equal-kappas", "verify-n-min-0", "verify-empty-range", "verify-negative-seed",
              "search-n-min-0", "search-empty-range", "search-negative-seed", "verify-no-trials",
-             "search-no-trials"],
+             "search-no-trials", "explicit-with-search-flags", "search-with-kappa"],
     )
     def test_invalid_argument_exit_2(self, capsys, op_file, argv):
         if argv[0] == "explore-sum" and "--search" not in argv:
             argv = [*argv, "--input", op_file]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])

@@ -43,6 +43,9 @@ def test_unused_api_stays_deleted():
     }
     modules = (bcspec, bcspec.spectra, bcspec.errors, bcspec.linalg)
     assert deleted.isdisjoint(set(bcspec.__all__).union(*map(dir, modules)))
+    # verify writes its residual bound out; the one-sided flag is `case is not ModifiedCase.BOTH`
+    assert not hasattr(bcspec.BicomplexOperator, "scale_norm")
+    assert not hasattr(bcspec.spectra.ModifiedEigenspace, "all_eigenvectors_singular")
 
 
 def test_readme_python_example_runs(ex_op):

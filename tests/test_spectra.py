@@ -233,7 +233,6 @@ class TestModifiedEigenspace:
         assert space.dim == 1
         assert in_span(space.minus_basis, [1, 0])
         assert space.plus_basis.shape[1] == 0
-        assert space.all_eigenvectors_singular
         v = space.assembled[0]
         assert classify_vector(v) is VectorClass.SINGULAR_NONZERO
         assert residual(ex_op, Bicomplex(1.0, 2.0), v) <= 1e-12
@@ -243,7 +242,6 @@ class TestModifiedEigenspace:
         assert space.case is ModifiedCase.BOTH
         assert space.dim == 3
         assert space.minus_basis.shape[1] == 1 and space.plus_basis.shape[1] == 2
-        assert not space.all_eigenvectors_singular
         # contains the non-singular eigenvector (1, e2)
         assert in_span(space.minus_basis, [1, 0])
         assert in_span(space.plus_basis, [1, 1])
@@ -327,7 +325,7 @@ class TestEigenspaces:
             kappa = Bicomplex.from_complex(lam)
             assert space.dim == brute_modified_eigenspace(op, kappa).shape[1]
             assert space.case is report.classify_modified(kappa)
-            assert space.max_residual(op) <= 1e-8 * op.scale_norm()
+            assert space.max_residual(op) <= 1e-8 * (1.0 + np.linalg.norm(op.t1) + np.linalg.norm(op.t2))
 
     def test_each_space_is_the_modified_eigenspace_of_its_eigenvalue(self, ex_op):
         for op in [*self._seeded_ops(), self._clustered_op(), ex_op]:
@@ -529,7 +527,7 @@ class TestEigenspaceSum:
 
 class TestResidualInvariant:
     def test_every_assembled_vector_is_an_eigenvector(self, ex_op):
-        bound = 1e-8 * ex_op.scale_norm()
+        bound = 1e-8 * (1.0 + np.linalg.norm(ex_op.t1) + np.linalg.norm(ex_op.t2))
         for kappa in [Bicomplex(1.0, 2.0), Bicomplex(1.0, 1.0), Bicomplex(0.0, 7.0)]:
             space = modified_eigenspace(component_spectra(ex_op), kappa)
             assert space.max_residual(ex_op) <= bound
