@@ -260,9 +260,11 @@ _SEARCH_DEFAULTS = {"seed": DEFAULT_SEED, "trials": 100, "n_min": 2, "n_max": 4}
 
 def _cmd_explore_sum(args, report: dict) -> int:
     unread = ("kappa", "kappa2") if args.search else tuple(_SEARCH_DEFAULTS)
+    if args.search and args.input is not None:  # a given operator has its own size
+        unread += ("n_min", "n_max")
     given = [f"--{name.replace('_', '-')}" for name in unread if getattr(args, name) is not None]
     if given:
-        mode = "--search" if args.search else "explicit mode"
+        mode = "explicit mode" if not args.search else "--search" if args.input is None else "--search --input"
         raise ParseError(f"explore-sum: {mode} does not read {', '.join(given)}")
     if args.search:
         search = {

@@ -5,11 +5,12 @@ decision behind singularity tests, nullspaces and column spaces as (n, k)
 arrays of orthonormal columns, an eigensolver that clusters (value, count)
 pairs on one distance matrix and keeps the eigenvector of each simple
 eigenvalue, and one membership rule (EigenSet.near).
-Factorizations are numpy's LAPACK calls on the matrix scaled by a power of
-two (see _scaled): one SVD for each rank decision (see _svd), and one eig
-per matrix for its eigenvalues and eigenvectors.  Every norm and tolerance
-goes through the same exact scale, so none overflows while its true value
-is finite; no cluster merge overflows (see cluster_points), and each merge
+Factorizations are numpy's LAPACK calls on copies scaled by a power of two
+(see _scale): one SVD per rank decision (see _svd) and one eig per
+spectrum, or one call for a (k, n, n) stack, such as an operator's two
+sides, each scaled and thresholded alone.  Every norm and tolerance goes
+through the same exact scale, so none overflows while its true value is
+finite; no cluster merge overflows (see cluster_points), and each merge
 is recorded in the members of the cluster it makes.
 """
 
@@ -41,29 +42,36 @@ def as_carray(a, ndim: int = 2) -> np.ndarray:
     return arr
 
 
-def _scaled(a) -> tuple[np.ndarray, float]:
-    """(s*A, s) with s = 2**-e, e the exponent of A's largest real or imaginary part and at least -1021.
+def _scale(a: np.ndarray) -> float:
+    """Scale the contiguous complex array A in place by s = 2**-e, e the exponent of its largest real or imaginary part and at least -1021; return s.
 
     No part of s*A reaches 1, so no norm or singular value of s*A overflows,
     and scaling by a power of two is exact; the floor keeps s finite when
     every entry is subnormal.  An empty or zero A has s = 1.
     """
-    a = np.asarray(a)
-    big = max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
+    big = float(np.abs(a.ravel("K").view(np.float64)).max(initial=0.0))
     s = math.ldexp(1.0, -max(math.frexp(big)[1], -1021))
-    return a * s, s
+    a *= s
+    return s
 
 
 def frobenius(a) -> float:
-    """Frobenius norm, as ||sA||_F / s (see _scaled): inf only when the norm itself exceeds float range."""
-    a, s = _scaled(a)
+    """Frobenius norm, as ||sA||_F / s (see _scale): inf only when the norm itself exceeds float range."""
+    a = np.array(a, dtype=np.complex128)
+    s = _scale(a)
     return float(np.linalg.norm(a)) / s
 
 
-def _require_square(a: np.ndarray, op: str) -> int:
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"{op} requires a square matrix, got shape {a.shape}")
-    return a.shape[0]
+def _square_stack(a, op: str) -> tuple[np.ndarray, bool]:
+    """A C-ordered copy of the square matrix A as a stack of one, or of the (k, n, n) stack A, checked by as_carray; and whether A is one matrix.
+
+    Every norm is then summed in one order, so a matrix gets the same tolerance alone and in a stack."""
+    a = np.array(a, dtype=np.complex128, order="C")
+    single = a.ndim != 3
+    stack = as_carray(a)[None] if single else as_carray(a, ndim=3)
+    if stack.shape[1] != stack.shape[2]:
+        raise NonSquareError(f"{op} requires a square matrix, got shape {stack.shape[1:]}")
+    return stack, single
 
 
 @dataclass(frozen=True)
@@ -118,9 +126,10 @@ class EigenSet:
         return bool(self.near(lam))
 
 
-def _svd(a: np.ndarray, tol: float, threshold: float | None = None, vectors: bool = False):
-    """Rank of A and the SVD of s*A (see _scaled): its singular values, or with vectors (u, sigma, vh).
+def _svd(stack: np.ndarray, tol: float, threshold: float | None = None, vectors: bool = False):
+    """The rank of each A of the (k, m, n) stack, and one SVD of the stack of s*A, each A scaled in place (see _scale).
 
+    The SVD gives the singular values, or with vectors (u, sigma, vh).
     Singular values at or below the threshold, scaled alike, count as zero,
     so a tie errs toward rank deficiency.  The default threshold
     tol * max(||A||_F, 1) * max(rows, cols) is computed as
@@ -128,26 +137,23 @@ def _svd(a: np.ndarray, tol: float, threshold: float | None = None, vectors: boo
     matrices consistent with the scalar classifier.  u and vh are square.
     A must be non-empty.
     """
-    a, s = _scaled(a)
+    scales = [_scale(a) for a in stack]
     try:
-        factors = np.linalg.svd(a, compute_uv=vectors)
+        factors = np.linalg.svd(stack, compute_uv=vectors)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
-    if threshold is None:
-        threshold = tol * max(float(np.linalg.norm(a)), s) * max(a.shape)
-    else:
-        threshold = s * threshold
-    sigma = factors[1] if vectors else factors
-    return int(np.count_nonzero(sigma > threshold)), factors
+    sigmas = factors[1] if vectors else factors
+    bounds = [tol * max(float(np.linalg.norm(a)), s) * max(a.shape) if threshold is None else s * threshold
+              for a, s in zip(stack, scales)]
+    return [int(np.count_nonzero(sigma > bound)) for sigma, bound in zip(sigmas, bounds)], factors
 
 
-def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the rank of the square matrix A is below its size (see _svd)."""
-    a = as_carray(a)
-    n = _require_square(a, "is_singular_matrix")
-    if n == 0:
-        return False
-    return _svd(a, tol)[0] < n
+def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool | list[bool]:
+    """True iff the rank of the square matrix A is below its size (see _svd); on a (k, n, n) stack, the k verdicts from one SVD."""
+    stack, single = _square_stack(a, "is_singular_matrix")
+    n = stack.shape[2]
+    verdicts = [rank < n for rank in _svd(stack, tol)[0]] if n else [False] * len(stack)
+    return verdicts[0] if single else verdicts
 
 
 def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> np.ndarray:
@@ -162,7 +168,7 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> np
     if m == 0 or n == 0:  # every vector of C^n is in the nullspace of an empty A
         return np.eye(n, dtype=np.complex128)
 
-    rank, (_, _, vh) = _svd(a, tol, threshold, vectors=True)
+    [rank], (_, _, [vh]) = _svd(np.array(a[None]), tol, threshold, vectors=True)
     if rank == 0:
         return np.eye(n, dtype=np.complex128)
     return vh[rank:].conj().T
@@ -174,7 +180,7 @@ def column_space(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     m, n = a.shape
     if m == 0 or n == 0:
         return np.zeros((m, 0), dtype=np.complex128)
-    rank, (u, _, _) = _svd(a, tol, vectors=True)
+    [rank], ([u], _, _) = _svd(np.array(a[None]), tol, vectors=True)
     return u[:, :rank]
 
 
@@ -229,8 +235,8 @@ def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int, tuple[i
     return sorted(((reps[i], counts[i], members[i]) for i in np.flatnonzero(live)), key=lambda c: (c[0].real, c[0].imag))
 
 
-def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
-    """Clustered spectrum of a square matrix, from one eig of s*A (see _scaled).
+def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet | list[EigenSet]:
+    """Clustered spectrum of a square matrix, from one eig of s*A (see _scale); on a (k, n, n) stack, the k spectra from one eig.
 
     Its tol, the absolute clustering and membership tolerance
     cluster_tol * (1 + ||A||_F), is computed on the same copy as
@@ -241,19 +247,21 @@ def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet:
     subnormal part; a value beyond float range raises NonFiniteValueError.
     A simple cluster takes its one value's eig vector.
     """
-    a = as_carray(a)
-    _require_square(a, "eigenvalues")
-    sa, s = _scaled(a)
-    tol = cluster_tol * (s + float(np.linalg.norm(sa))) / s
+    stack, single = _square_stack(a, "eigenvalues")
+    scales = [_scale(sa) for sa in stack]
+    tols = [cluster_tol * (s + float(np.linalg.norm(sa))) / s for sa, s in zip(stack, scales)]
     try:
-        vals, vecs = np.linalg.eig(sa)
+        values, vectors = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    # s = 2**-e with e = 1 - frexp(s)[1]; a part beyond float range becomes inf
-    with np.errstate(over="ignore"):
-        vals = np.ldexp(vals.view(np.float64), 1 - math.frexp(s)[1]).view(np.complex128)
-    if not np.isfinite(vals).all():
-        raise NonFiniteValueError("eig gave a non-finite eigenvalue of a finite matrix")
-    clusters = cluster_points([(v, 1) for v in vals.tolist()], tol)
-    vectors = tuple(vecs[:, idx[0]] if m == 1 else None for _, m, idx in clusters)
-    return EigenSet(tuple((v, m) for v, m, _ in clusters), tol, vectors)
+    sets = []
+    for vals, vecs, s, tol in zip(values, vectors, scales, tols):
+        # s = 2**-e with e = 1 - frexp(s)[1]; a part beyond float range becomes inf
+        with np.errstate(over="ignore"):
+            vals = np.ldexp(vals.view(np.float64), 1 - math.frexp(s)[1]).view(np.complex128)
+        if not np.isfinite(vals).all():
+            raise NonFiniteValueError("eig gave a non-finite eigenvalue of a finite matrix")
+        clusters = cluster_points([(v, 1) for v in vals.tolist()], tol)
+        kept = tuple(vecs[:, idx[0]] if m == 1 else None for _, m, idx in clusters)
+        sets.append(EigenSet(tuple((v, m) for v, m, _ in clusters), tol, kept))
+    return sets[0] if single else sets

@@ -203,8 +203,9 @@ def is_singular_operator(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> boo
     """True iff t1 or t2 is singular (equivalently, the kernel is nontrivial).
 
     Each component is decided by the SVD rank test that kernel uses,
-    at the same threshold, so the verdict agrees with kernel(op, tol).
+    at the same threshold, so the verdict agrees with kernel(op, tol); one
+    SVD call decides both.
     """
     if not op.is_square:
         raise NonSquareError(f"singularity is defined for square operators, got {op.shape}")
-    return is_singular_matrix(op.t1, tol) or is_singular_matrix(op.t2, tol)
+    return any(is_singular_matrix((op.t1, op.t2), tol))

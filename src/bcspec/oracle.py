@@ -23,15 +23,23 @@ from .operators import BicomplexOperator, BicomplexVector
 class Rng:
     """Deterministic random source: PCG64 keyed by (seed, *stream).
 
-    Equal keys give bit-identical sample streams on every platform, so any
-    failure reported with its key replays exactly.
+    SeedSequence hashes the key's uint32 words, each int's little-endian
+    32-bit words (one below 2**32, one zero word for 0), as numpy does the
+    list [seed, *stream].  Equal keys give bit-identical sample streams on
+    every platform, so any failure reported with its key replays exactly.
     """
 
     seed: int
     stream: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, *self.stream])))
+        words = []
+        for k in (self.seed, *self.stream):
+            while k > 0xFFFFFFFF:
+                k, low = divmod(k, 1 << 32)
+                words.append(low)
+            words.append(k)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
     def child(self, *indices: int) -> "Rng":
         return Rng(self.seed, self.stream + tuple(indices))
@@ -113,7 +121,8 @@ def elimination_nullspace(a, threshold: float) -> np.ndarray:
     """Nullspace basis (columns) by Gauss-Jordan elimination with partial pivoting.
 
     Kept separate from the SVD rank route on purpose; pivots at or below
-    the absolute threshold count as zero.
+    the absolute threshold count as zero.  Each pivot clears its column from
+    the other rows with one rank-1 update of the whole matrix.
     """
     a = np.array(a, dtype=np.complex128)
     m, n = a.shape
@@ -122,14 +131,16 @@ def elimination_nullspace(a, threshold: float) -> np.ndarray:
     for col in range(n):
         if row >= m:
             break
-        lead = row + int(np.argmax(np.abs(a[row:, col])))
-        if abs(a[lead, col]) <= threshold:
+        mags = np.abs(a[row:, col])
+        lead = int(mags.argmax())
+        if mags[lead] <= threshold:
             continue
-        a[[row, lead]] = a[[lead, row]]
-        a[row] = a[row] / a[row, col]
-        for r in range(m):
-            if r != row and a[r, col] != 0:
-                a[r] = a[r] - a[r, col] * a[row]
+        if lead:
+            a[[row, row + lead]] = a[[row + lead, row]]
+        a[row] /= a[row, col]
+        pivot = a[row].copy()
+        a -= np.multiply.outer(a[:, col], pivot)
+        a[row] = pivot
         pivots.append(col)
         row += 1
     free = [c for c in range(n) if c not in pivots]

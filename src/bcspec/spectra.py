@@ -144,10 +144,10 @@ def _set_str(es: EigenSet) -> str:
 def component_spectra(
     op: BicomplexOperator, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> SpectrumReport:
-    """Y1 = spectrum of t1 and Y2 = spectrum of t2, each with its own tolerance."""
+    """Y1 = spectrum of t1 and Y2 = spectrum of t2, each with its own tolerance, from one eig of the pair."""
     if not op.is_square:
         raise NonSquareError(f"spectra need a square operator, got {op.shape}")
-    return SpectrumReport(op, eigenvalues(op.t1, cluster_tol), eigenvalues(op.t2, cluster_tol))
+    return SpectrumReport(op, *eigenvalues((op.t1, op.t2), cluster_tol))
 
 
 @dataclass(eq=False)

@@ -73,15 +73,15 @@ class VerifyReport:
 
 
 class _Check:
-    """Collects failures for one trial; messages keep the replay key."""
+    """Collects failures for one trial; a message, str.format of its arguments, is made only on failure and keeps the replay key."""
 
     def __init__(self, key: str):
         self.key = key
         self.messages: list[str] = []
 
-    def __call__(self, condition: bool, message: str):
+    def __call__(self, condition: bool, message: str, *args):
         if not condition:
-            self.messages.append(f"[{self.key}] {message}")
+            self.messages.append(f"[{self.key}] {message.format(*args)}")
 
 
 def _far_scalar(gen, *eigensets: EigenSet) -> complex:
@@ -209,8 +209,8 @@ def _suite_scalar_singularity(check, rng, n, tol, cluster_tol):
         if not in_band:
             check(
                 via_components == via_cartesian,
-                f"classification split outside the guard band: {via_components.value} vs "
-                f"{via_cartesian.value} for {x}",
+                "classification split outside the guard band: {} vs {} for {}",
+                via_components.value, via_cartesian.value, x,
             )
 
 
@@ -233,15 +233,15 @@ def _suite_kernel_image(check, rng, n, tol, cluster_tol):
     brute = elimination_nullspace(block, tol * (1.0 + np.linalg.norm(block)) * max(block.shape))
     check(
         impl_dim == brute.shape[1],
-        f"kernel dimension {impl_dim} != block-elimination dimension {brute.shape[1]}",
+        "kernel dimension {} != block-elimination dimension {}", impl_dim, brute.shape[1],
     )
     bound = _residual_bound(op, cluster_tol)
     for v in assemble_pair_basis((k1, k2)):
         check(apply(op, v).norm() <= bound, "assembled kernel vector not annihilated")
     i1, i2 = image(op, tol)
     cols = op.shape[1]
-    check(i1.shape[1] + k1.shape[1] == cols, f"rank-nullity broken on t1: {i1.shape[1]}+{k1.shape[1]} != {cols}")
-    check(i2.shape[1] + k2.shape[1] == cols, f"rank-nullity broken on t2: {i2.shape[1]}+{k2.shape[1]} != {cols}")
+    check(i1.shape[1] + k1.shape[1] == cols, "rank-nullity broken on t1: {}+{} != {}", i1.shape[1], k1.shape[1], cols)
+    check(i2.shape[1] + k2.shape[1] == cols, "rank-nullity broken on t2: {}+{} != {}", i2.shape[1], k2.shape[1], cols)
 
 
 @_suite("T = e1 T1 + e2 T2 is singular iff T1 is singular or T2 is singular")
@@ -256,9 +256,9 @@ def _suite_operator_singularity(check, rng, n, tol, cluster_tol):
     via_kernel = (k1.shape[1] + k2.shape[1]) > 0
     check(
         singular == via_elimination,
-        f"operator verdict {singular} != elimination route {via_elimination}",
+        "operator verdict {} != elimination route {}", singular, via_elimination,
     )
-    check(singular == via_kernel, f"operator verdict {singular} != kernel route {via_kernel}")
+    check(singular == via_kernel, "operator verdict {} != kernel route {}", singular, via_kernel)
     if profile == "rank-deficient":
         check(singular, "planted rank deficiency not detected")
 
@@ -282,8 +282,8 @@ def _suite_shift_singularity(check, rng, n, tol, cluster_tol):
         split = _singular_by_elimination(op.t1 - kappa.minus * eye, tol) or (
             _singular_by_elimination(op.t2 - kappa.plus * eye, tol)
         )
-        check(whole == split, f"shifted verdict {whole} != elimination route {split} at {kappa}")
-        check(whole == expected, f"shifted singularity wrong at {kappa}: got {whole}")
+        check(whole == split, "shifted verdict {} != elimination route {} at {}", whole, split, kappa)
+        check(whole == expected, "shifted singularity wrong at {}: got {}", kappa, whole)
 
 
 @_suite("lambda is an eigenvalue of T iff lambda ∈ Y1 ∪ Y2 iff (T - lambda I) is singular")
@@ -299,7 +299,7 @@ def _suite_eigenvalue_criterion(check, rng, n, tol, cluster_tol):
     for lam in lams:
         member = report.is_eigenvalue(lam)
         singular = is_singular_operator(shift(op, complex(lam)), tol)
-        check(member == singular, f"eigenvalue criterion split at {lam}: member={member}")
+        check(member == singular, "eigenvalue criterion split at {}: member={}", lam, member)
     check(report.is_eigenvalue(planted.shared_eigenvalue), "planted shared eigenvalue missed")
 
 
@@ -321,11 +321,11 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol):
         verdict = report.classify_modified(kappa) is not None
         brute_dim = brute_modified_eigenspace(op, kappa, cluster_tol).shape[1]
         singular = is_singular_operator(shift(op, kappa), tol)
-        check(verdict == on_cylinder(kappa), f"criterion vs membership split at {kappa}")
-        check(verdict == singular, f"criterion vs shifted-singularity split at {kappa}")
+        check(verdict == on_cylinder(kappa), "criterion vs membership split at {}", kappa)
+        check(verdict == singular, "criterion vs shifted-singularity split at {}", kappa)
         check(
             verdict == (brute_dim > 0),
-            f"criterion {verdict} vs block nullspace dim {brute_dim} at {kappa}",
+            "criterion {} vs block nullspace dim {} at {}", verdict, brute_dim, kappa,
         )
 
 
@@ -336,12 +336,12 @@ def _suite_containment(check, rng, n, tol, cluster_tol):
     for k1 in y1.value_list():
         for k2 in y2.value_list():
             kappa = Bicomplex(k1, k2)
-            check(report.classify_modified(kappa) is ModifiedCase.BOTH, f"grid pair {kappa} not tagged Both")
+            check(report.classify_modified(kappa) is ModifiedCase.BOTH, "grid pair {} not tagged Both", kappa)
     # Plus component pushed past every member of Y2: outside the grid by
     # construction, still modified through the minus side.
     away = max((abs(v) for v in y2.value_list()), default=0.0)
     witness = Bicomplex(y1.value_list()[0], away + 1.0 + 10.0 * y2.tol)
-    check(report.classify_modified(witness) is ModifiedCase.ONLY_MINUS, f"witness {witness} not tagged OnlyMinus")
+    check(report.classify_modified(witness) is ModifiedCase.ONLY_MINUS, "witness {} not tagged OnlyMinus", witness)
     check(not y2.contains(witness.plus), "witness does not leave the idempotent-product grid")
 
 
@@ -355,14 +355,14 @@ def _suite_infinite_family(check, rng, n, tol, cluster_tol):
     base2 = report.upsilon2.value_list()[0]
     members = [Bicomplex(base1, w) for w in samples] + [Bicomplex(w, base2) for w in samples]
     for kappa in members:
-        check(report.classify_modified(kappa) is not None, f"family member {kappa} rejected")
+        check(report.classify_modified(kappa) is not None, "family member {} rejected", kappa)
     probe = Bicomplex(base1, samples[1])
     check(
         brute_modified_eigenspace(op, probe, cluster_tol).shape[1] > 0,
         "family member invisible to the block oracle",
     )
     outside = _far_scalar(gen, report.upsilon1)
-    check(not report.upsilon1.contains(outside), f"far base {outside} counted as a member of Y1")
+    check(not report.upsilon1.contains(outside), "far base {} counted as a member of Y1", outside)
 
 
 @_suite("Y = (Y1 xe C1) ∪ (C1 xe Y2)")
@@ -382,7 +382,7 @@ def _suite_cylinder_structure(check, rng, n, tol, cluster_tol):
     for kappa in kappas:
         check(
             on_cylinder(kappa) == (report.classify_modified(kappa) is not None),
-            f"cylinder description disagrees with the criterion at {kappa}",
+            "cylinder description disagrees with the criterion at {}", kappa,
         )
 
 
@@ -406,9 +406,9 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
         space = modified_eigenspace(report, kappa)
         check(
             space.dim == brute.shape[1],
-            f"structure dim {space.dim} != block dim {brute.shape[1]} at {kappa} ({profile})",
+            "structure dim {} != block dim {} at {} ({})", space.dim, brute.shape[1], kappa, profile,
         )
-        check(space.max_residual(op) <= bound, f"residual above {bound} at {kappa}")
+        check(space.max_residual(op) <= bound, "residual above {} at {}", bound, kappa)
         if space.case is not ModifiedCase.BOTH:
             for v in space.assembled:
                 check(
@@ -453,7 +453,7 @@ def _suite_block_spectrum(check, rng, n, tol, cluster_tol):
     tol_abs = cluster_tol * (1.0 + np.linalg.norm(block))
     check(
         _match_multisets([complex(z) for z in block_eigs], expected, tol_abs),
-        f"block spectrum is not the disjoint union of the component spectra ({profile})",
+        "block spectrum is not the disjoint union of the component spectra ({})", profile,
     )
 
 
@@ -479,7 +479,7 @@ def _suite_similarity_invariance(check, rng, n, tol, cluster_tol):
     for kappa in kappas:
         before = report.classify_modified(kappa) is not None
         after = report2.classify_modified(kappa) is not None
-        check(before == after, f"membership changed under similarity at {kappa}")
+        check(before == after, "membership changed under similarity at {}", kappa)
 
 
 def run_verify(
@@ -535,7 +535,8 @@ def run_sum_search(
     """Sample pairs of modified eigenvalues and test whether their eigenspace sum is direct.
 
     Each trial draws an operator of size n cycling n_min..n_max, or takes the
-    given operator, in which case n_min and n_max are not read.
+    given operator, whose size is its own: n_min and n_max are then neither
+    checked nor used, and `explore-sum --search --input` refuses both flags.
     """
     _check_run(seed, trials)
     if operator is None:

@@ -121,7 +121,7 @@ class TestSpectrum:
         assert report["upsilon2"] == [{"value": [1.0, 0.0], "multiplicity": 1}]
 
 
-    def test_simple_eigenvalues_take_one_eig_per_side(self, capsys, tmp_path, monkeypatch):
+    def test_simple_eigenvalues_take_one_eig_per_operator(self, capsys, tmp_path, monkeypatch):
         rng = np.random.default_rng(64)
         t1, t2 = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
         path = tmp_path / "distinct.json"
@@ -146,7 +146,8 @@ class TestSpectrum:
         )
         code, out, _ = run_cli(capsys, "spectrum", "--input", str(path))
         assert code == 0
-        assert calls == {"eig": 2, "eigvals": 0, "nullspace": 0, "contains": 0}
+        # both sides go through one stacked eig
+        assert calls == {"eig": 1, "eigvals": 0, "nullspace": 0, "contains": 0}
         report = json.loads(out)
         assert sum(e["multiplicity"] for e in report["eigenvalues"]) == 128
         bound = 1e-8 * (1.0 + np.linalg.norm(t1) + np.linalg.norm(t2))
@@ -423,9 +424,12 @@ class TestExploreSum:
     def test_search_on_a_given_operator_reads_no_sizes(self, capsys, op_file):
         search = ["explore-sum", "--search", "--trials", "6", "--seed", "3"]
         code, plain, _ = run_cli(capsys, *search, "--input", op_file)
-        assert code == 0
-        code, out, _ = run_cli(capsys, *search, "--input", op_file, "--n-min", "5", "--n-max", "3")
-        assert code == 0 and out == plain
+        assert code == 0 and json.loads(plain)["mode"] == "search"
+        # a given operator has its own size, so the size flags are refused, valid or not
+        for sizes in (["--n-min", "5", "--n-max", "3"], ["--n-min", "2"], ["--n-max", "4"]):
+            code, out, err = run_cli(capsys, *search, "--input", op_file, *sizes)
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: explore-sum: --search --input does not read --n-")
         # sampled operators take their sizes from the range, so it is still checked
         code, out, err = run_cli(capsys, *search, "--n-min", "5", "--n-max", "3")
         assert code == 2 and out == "" and "n_min <= n_max" in err

@@ -1,6 +1,7 @@
 """The brute-force reference paths themselves: embeddings, elimination, planting."""
 
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,32 @@ class TestRng:
 
     def test_child_extends_stream(self):
         assert Rng(1).child(2, 3) == Rng(1, (2, 3))
+
+    @pytest.mark.parametrize("seed", [0, 20240901, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("length", range(5))
+    def test_stream_is_numpys_seed_sequence_of_the_key(self, seed, length):
+        # every replay key printed by verify must keep drawing what SeedSequence([seed, *stream]) draws
+        stream = tuple(range(3, 3 + length)) if length < 4 else (0, 2**32, 7, 2**40 + 1)
+        got = Rng(seed, stream).generator()
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *stream])))
+        assert np.array_equal(got.standard_normal(6), want.standard_normal(6))
+        assert np.array_equal(got.integers(1 << 62, size=4), want.integers(1 << 62, size=4))
+
+    def test_planted_operators_are_pinned(self):
+        # SHA-256 of t1 and t2 at n = 1, 4, 6 for one key per profile: a change of seeding or draw order shows here
+        pinned = {
+            "generic": "539337ad4a9fc37afae0fc2214ccad57d388be40bf667d477c03709905255f97",
+            "shared-eigenvalue": "7a40f7d607915726e136a2b147670d7caa7cf1783e55a35f87855d55d07e8c7b",
+            "rank-deficient": "42c4376653f49f4c7fd2337c16d9d39d522faef6df62e75a53fba1f2e2bd6d73",
+            "defective": "c08bdad6857a8b32cd1fd40a395a8d1d44f74251a2d06fb5b46f86900f163dd0",
+        }
+        for i, profile in enumerate(PROFILES):
+            digest = hashlib.sha256()
+            for n in (1, 4, 6):
+                op = random_operator(Rng(20240901, (i, n)), n, profile).operator
+                for t in (op.t1, op.t2):
+                    digest.update(np.ascontiguousarray(t, dtype="<c16").tobytes())
+            assert digest.hexdigest() == pinned[profile], profile
 
 
 class TestBlockEmbed:
@@ -109,7 +136,69 @@ class TestResidual:
             residual(ex_op, 1.0, BicomplexVector.zero(2))
 
 
+def _elimination_by_rows(a, threshold):
+    """Reference Gauss-Jordan elimination that clears a pivot's column one row at a time: (basis, pivots)."""
+    a = np.array(a, dtype=np.complex128)
+    m, n = a.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        lead = row + int(np.argmax(np.abs(a[row:, col])))
+        if abs(a[lead, col]) <= threshold:
+            continue
+        a[[row, lead]] = a[[lead, row]]
+        a[row] = a[row] / a[row, col]
+        for r in range(m):
+            if r != row and a[r, col] != 0:
+                a[r] = a[r] - a[r, col] * a[row]
+        pivots.append(col)
+        row += 1
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((n, len(free)), dtype=np.complex128)
+    for k, f in enumerate(free):
+        basis[f, k] = 1.0
+        for i, p in enumerate(pivots):
+            basis[p, k] = -a[i, f]
+    return basis, pivots
+
+
+def _elimination_cases():
+    """(label, matrix, threshold): dense, rank-deficient, block-embedded, shifted-block and zero-column matrices."""
+    rng = np.random.default_rng(2021)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for n in range(1, 13):
+        r = int(rng.integers(0, n))
+        deficient = cn(n, r) @ cn(r, n) if r else np.zeros((n, n), dtype=complex)
+        zero_column = cn(n, n)
+        zero_column[:, int(rng.integers(n))] = 0
+        cases = [("dense", cn(n, n)), ("rank-deficient", deficient), ("zero-column", zero_column)]
+        if n % 2 == 0:
+            half = n // 2
+            op = random_operator(Rng(31, (n,)), half, ("rank-deficient", "shared-eigenvalue")[half % 2]).operator
+            block = block_embed(op)
+            lam = eigenvalues(op.t1).value_list()[0]
+            cases += [("block", block), ("shifted-block", block - np.diag(np.repeat([lam, lam + 1.0], half)))]
+        for label, a in cases:
+            # the thresholds the verify suites use: relative to max(||A||, 1) and to 1 + ||A||
+            yield label, a, 1e-10 * max(np.linalg.norm(a), 1.0) * n
+            yield label, a, 1e-8 * (1.0 + np.linalg.norm(a))
+
+
 class TestEliminationNullspace:
+    def test_matches_the_row_by_row_reference(self):
+        for label, a, threshold in _elimination_cases():
+            want, pivots = _elimination_by_rows(a, threshold)
+            got = elimination_nullspace(a, threshold)
+            free = [c for c in range(a.shape[1]) if c not in pivots]
+            # equal as numbers: a row the reference skipped may differ in the sign of a zero only
+            assert got.shape == want.shape and np.array_equal(got, want), label
+            assert np.array_equal(got[free], np.eye(len(free))), label
+
     def test_agrees_with_qr_route_on_planted_ranks(self):
         rng = np.random.default_rng(77)
         for _ in range(30):

@@ -17,6 +17,7 @@ from bcspec import (
     component_spectra,
     eigenspace_sum,
     eigenvalues,
+    is_singular_matrix,
     is_singular_operator,
     modified_eigenspace,
     shift,
@@ -99,6 +100,58 @@ class TestComponentSpectra:
         assert _values(rep.upsilon1) == [1.0, 2.0, 3.0]
         assert _values(rep.upsilon2) == [4.0, 5.0, 6.0]
         assert _values(rep.eigenvalues_of_T) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def _bits(es: EigenSet):
+    """Every bit of an EigenSet's values, multiplicities, tol and kept vectors."""
+    values = np.array(es.value_list(), dtype=np.complex128).tobytes()
+    vectors = [None if v is None else v.tobytes() for v in es.vectors]
+    return values, [m for _, m in es.values], es.tol.hex(), vectors
+
+
+def _stack_cases() -> list[BicomplexOperator]:
+    """Operators whose two sides one LAPACK call must treat as two separate matrices."""
+    ops = _profile_ops(2121, 2)
+    ops += [BicomplexOperator(_ldexp(op.t1, 1000), op.t2) for op in ops[:4]]  # scales 2**1000 apart
+    ops += [BicomplexOperator(op.t1, _ldexp(op.t2, -1000)) for op in ops[4:8]]
+    ops += [
+        BicomplexOperator(np.diag([1.7e308, -1.7e308, 1]).astype(complex), np.diag([1, 2, 3]).astype(complex)),
+        BicomplexOperator(np.array([[1.5e308 + 1.5e308j]]), np.array([[2.0 + 0j]])),
+        BicomplexOperator(np.zeros((0, 0)), np.zeros((0, 0))),
+        random_operator(Rng(2121, (9,)), 1).operator,
+        random_operator(Rng(2121, (10,)), 1, "rank-deficient").operator,
+    ]
+    gen = np.random.default_rng(40)
+    t = gen.standard_normal((2, 40, 40)) + 1j * gen.standard_normal((2, 40, 40))
+    ops.append(BicomplexOperator(np.asfortranarray(t[0]), t[1].T))  # layouts the stack does not keep
+    for op in ops[:8]:  # singular on exactly one side
+        lam = eigenvalues(op.t2).value_list()[0]
+        ops.append(shift(op, Bicomplex(lam + 100.0, lam)))
+    return ops
+
+
+_STACKS = _stack_cases()
+STACK_CASES = pytest.mark.parametrize("op", _STACKS, ids=[f"{i}-n{op.t1.shape[0]}" for i, op in enumerate(_STACKS)])
+
+
+class TestOneCallPerOperator:
+    @STACK_CASES
+    def test_stacked_spectra_are_the_per_side_spectra(self, op):
+        report = component_spectra(op)
+        assert _bits(report.upsilon1) == _bits(eigenvalues(op.t1))
+        assert _bits(report.upsilon2) == _bits(eigenvalues(op.t2))
+
+    @STACK_CASES
+    def test_stacked_singularity_is_the_per_side_verdict(self, op):
+        assert is_singular_operator(op) == (is_singular_matrix(op.t1) or is_singular_matrix(op.t2))
+        assert is_singular_matrix(np.stack([op.t1, op.t2])) == [is_singular_matrix(op.t1), is_singular_matrix(op.t2)]
+
+    def test_a_stack_is_scaled_in_a_copy(self):
+        t = np.array([[[1e300, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1e-300]]], dtype=complex)
+        before = t.copy()
+        eigenvalues(t)
+        is_singular_matrix(t)
+        assert t.tobytes() == before.tobytes()
 
 
 class TestEigenvalueCriterion:
