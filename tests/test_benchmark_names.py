@@ -1,18 +1,24 @@
-"""The names the traced benchmark wraps and requires still exist in bcspec.
+"""The names the traced benchmark wraps and requires still exist in bcspec, and its runs reach them.
 
 perfbench/run.py and perfbench/tracer.py are read with ast, not imported: a
 rename or deletion in the package must fail here, before a traced run
-reports a missing span.
+reports a missing span.  A moved call fails the same way: tiny runs of
+perfbench/traced_cli.py must record every span their workload requires.
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _assignments(path: Path) -> dict[str, ast.expr]:
@@ -40,6 +46,8 @@ RUN = _assignments(PERFBENCH / "run.py")
 METHODS = ast.literal_eval(_assignments(PERFBENCH / "tracer.py")["METHODS"])
 SUITES = ast.literal_eval(RUN["SUITES"])
 SPANS = sorted(_names(RUN["FUNCTIONS"]).union(*map(_names, RUN["REQUIRED"].values)))
+REQUIRED = {ast.literal_eval(k): _names(v) for k, v in zip(RUN["REQUIRED"].keys, RUN["REQUIRED"].values)}
+REQUIRED["verify-small"] |= {f"verify.suite.{s}" for s in SUITES}  # run.py names these by f-string
 
 
 def test_the_lists_were_read():
@@ -66,3 +74,37 @@ def test_every_verify_suite_exists():
     from bcspec.verify import SUITES as suites
 
     assert [name for name, _, _ in suites] == list(SUITES)
+
+
+EX = str(ROOT / "tests" / "golden" / "inputs" / "worked_example.json")
+#: One tiny op per command of each workload; between them they must reach every required span.
+TINY_OPS = {
+    "query-mix": [
+        ["modified", "--input", EX, "--kappa", '{"idem":[1,0,2,0]}', "--format", "text"],
+        ["eigenspace", "--input", EX, "--lam", "[1,0]"],
+        ["decompose", "--input", '{"idem":[1,0,0,0]}'],
+        ["decompose", "--input", EX, "--format", "text"],
+        ["explore-sum", "--input", EX, "--kappa", '{"idem":[1,0,2,0]}', "--kappa2", '{"idem":[1,0,3,0]}'],
+    ],
+    "spectrum-large": [["spectrum", "--input", EX]],
+    "verify-small": [["verify", "--trials", "1"]],
+}
+
+
+def _recorded(argv: list[str], span_file: Path) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced_cli.py"), str(span_file), "0", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with np.load(span_file, allow_pickle=False) as trace:
+        names = [str(s) for s in trace["names"]]
+        return {names[i] for i in np.unique(trace["name"])}
+
+
+@pytest.mark.parametrize("workload", sorted(TINY_OPS))
+def test_tiny_runs_record_every_required_span(workload, tmp_path):
+    assert "cli.main" in REQUIRED[workload]
+    recorded = set().union(*(_recorded(argv, tmp_path / f"{k}.npz") for k, argv in enumerate(TINY_OPS[workload])))
+    assert sorted(REQUIRED[workload] - recorded) == []

@@ -610,6 +610,21 @@ class TestErrorHandling:
         assert code == 0
         assert (report["case"], report["dimension"]) == ("Both", 2)
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            '{"idem":[1.5e308,1.5e308,0,0]}',
+            '{"t1":[[[1.5e308,1.5e308]]],"t2":[[[0,0]]]}',
+            '{"minus":[[[1,0],[1.5e308,1.5e308]]],"plus":[[[1,0],[0,0]]]}',
+        ],
+        ids=["scalar", "operator", "matrix"],
+    )
+    def test_class_of_an_entry_beyond_float_range_exit_2(self, capsys, value):
+        # every part is finite, but |1.5e308 + 1.5e308i| is not: no class can be decided
+        code, out, err = run_cli(capsys, "decompose", "--input", value)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: numerical overflow: absolute value too large"]
+
     def test_idempotent_overflow_names_the_conversion(self, capsys):
         # every real coefficient is finite; z1 + i*z2 = 1e308 + 1e308 is not
         code, out, err = run_cli(capsys, "decompose", "--input", '{"real":[1e308,1e308,1e308,1e308]}')

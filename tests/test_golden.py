@@ -23,6 +23,8 @@ INPUTS = GOLDEN / "inputs"
 EX = "worked_example"
 DIAG = "diagonal3"
 TRI = "triangular3"
+EDGE_MATRIX = "edge_matrix"
+EDGE_OPERATOR = "edge_operator"
 
 #: case name -> CLI argv; "@name" stands for the input file inputs/name.json.
 CASES = {
@@ -32,6 +34,9 @@ CASES = {
     "decompose-scalar-tol": ["decompose", "--input", '{"idem":[1,0,1e-5,0]}', "--tol", "1e-4"],
     "decompose-operator": ["decompose", "--input", f"@{EX}"],
     "decompose-operator-triangular": ["decompose", "--input", f"@{TRI}"],
+    # -0.0 parts, subnormals, entries exactly at the class threshold and one ulp past it, all four classes
+    "decompose-matrix-edge-cases": ["decompose", "--input", f"@{EDGE_MATRIX}"],
+    "decompose-operator-edge-cases": ["decompose", "--input", f"@{EDGE_OPERATOR}"],
     "decompose-matrix-entrywise": [
         "decompose",
         "--input",
