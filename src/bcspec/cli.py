@@ -26,10 +26,10 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .core import DEFAULT_TOL, Bicomplex
+from .core import DEFAULT_TOL, IDEAL_CLASSES, Bicomplex, classify_parts
 from .errors import BcspecError, ConvergenceError, NonFiniteValueError, NotModifiedEigenvalueError, ParseError
-from .linalg import DEFAULT_CLUSTER_TOL
-from .operators import BicomplexMatrix, BicomplexOperator, classify_vector, is_singular_operator
+from .linalg import DEFAULT_CLUSTER_TOL, is_singular_matrix
+from .operators import classify_vector
 from .spectra import ModifiedCase, component_spectra, eigenspace_sum, modified_eigenspace
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_sum_search, run_verify
 
@@ -117,10 +117,6 @@ def _eigenset_json(es) -> list[dict]:
     ]
 
 
-def _subspace_json(basis) -> list[list[list[float]]]:
-    return [jsonio.cvector_to_json(v) for v in basis.T]
-
-
 # -- commands -------------------------------------------------------------
 
 
@@ -145,19 +141,18 @@ def _cmd_decompose(args, report: dict) -> int:
     else:
         if isinstance(obj, dict) and "t1" in obj:
             op = jsonio.parse_operator(obj)
-            matrix = BicomplexMatrix(op.t1, op.t2)
+            minus, plus = op.t1, op.t2
         else:
             matrix = jsonio.parse_matrix(obj)
+            minus, plus = matrix.minus, matrix.plus
         report["kind"] = "matrix"
-        report["shape"] = list(matrix.shape)
-        report["minus"] = jsonio.cmatrix_to_json(matrix.minus)
-        report["plus"] = jsonio.cmatrix_to_json(matrix.plus)
-        rows, cols = matrix.shape
-        report["entry_classes"] = [
-            [matrix.entry(i, j).classify(tol).value for j in range(cols)] for i in range(rows)
-        ]
-        if rows == cols:
-            report["operator_singular"] = is_singular_operator(BicomplexOperator(matrix.minus, matrix.plus), tol)
+        report["shape"] = list(minus.shape)
+        report["minus"] = jsonio.carray_to_json(minus)
+        report["plus"] = jsonio.carray_to_json(plus)
+        names = [c.value for c in IDEAL_CLASSES]
+        report["entry_classes"] = [[names[c] for c in row] for row in classify_parts(minus, plus, tol).tolist()]
+        if minus.shape[0] == minus.shape[1]:  # T is singular iff t1 or t2 is (see is_singular_operator)
+            report["operator_singular"] = any(is_singular_matrix((minus, plus), tol))
     return EXIT_OK
 
 
@@ -212,8 +207,8 @@ def _cmd_space(args, report: dict) -> int:
             dimension=space.dim,
             dim_minus=space.minus_basis.shape[1],
             dim_plus=space.plus_basis.shape[1],
-            minus_basis=_subspace_json(space.minus_basis),
-            plus_basis=_subspace_json(space.plus_basis),
+            minus_basis=jsonio.carray_to_json(space.minus_basis.T),
+            plus_basis=jsonio.carray_to_json(space.plus_basis.T),
             assembled=[jsonio.vector_to_json(v) for v in space.assembled],
             vector_classes=[classify_vector(v, args.tol).value for v in space.assembled],
             all_eigenvectors_singular=space.case is not ModifiedCase.BOTH,

@@ -24,6 +24,8 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import NonFiniteValueError, SingularElementError
 
 #: Default relative tolerance for singularity decisions.
@@ -37,6 +39,32 @@ class IdealClass(Enum):
     IN_I1 = "InI1"          # plus component vanishes: a multiple of e1
     IN_I2 = "InI2"          # minus component vanishes: a multiple of e2
     NONSINGULAR = "NonSingular"
+
+
+#: The IdealClass of each code classify_parts returns: (minus small) + 2 * (plus small).
+IDEAL_CLASSES = (IdealClass.NONSINGULAR, IdealClass.IN_I2, IdealClass.IN_I1, IdealClass.ZERO)
+
+
+def _moduli(minus, plus, tol: float):
+    """Entrywise |z⁻|, |z⁺| and the threshold tol·max(|z⁻|, |z⁺|, 1) of two complex arrays.
+
+    np.hypot of the parts is Python's abs bit for bit, and a modulus beyond
+    float range raises OverflowError as abs does.
+    """
+    minus, plus = np.asarray(minus), np.asarray(plus)
+    with np.errstate(over="ignore"):
+        am, ap = np.hypot(minus.real, minus.imag), np.hypot(plus.real, plus.imag)
+        largest = np.maximum(am, ap)
+        thr = tol * np.maximum(largest, 1.0)
+    if np.isinf(largest).any():
+        raise OverflowError("absolute value too large")
+    return am, ap, thr
+
+
+def classify_parts(minus, plus, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The code in IDEAL_CLASSES of each entry pair of two complex arrays; a component at or below the threshold is zero."""
+    am, ap, thr = _moduli(minus, plus, tol)
+    return (am <= thr) + 2 * (ap <= thr)
 
 
 def _is_finite(z: complex) -> bool:
@@ -141,30 +169,20 @@ class Bicomplex:
 
     def singular_threshold(self, tol: float = DEFAULT_TOL) -> float:
         """Absolute magnitude below which a component counts as zero."""
-        return tol * max(abs(self.minus), abs(self.plus), 1.0)
+        return float(_moduli(self.minus, self.plus, tol)[2])
 
     def classify(self, tol: float = DEFAULT_TOL) -> IdealClass:
         """Classify against the singular set; ties at the threshold are singular."""
-        thr = self.singular_threshold(tol)
-        minus_small = abs(self.minus) <= thr
-        plus_small = abs(self.plus) <= thr
-        if minus_small and plus_small:
-            return IdealClass.ZERO
-        if plus_small:
-            return IdealClass.IN_I1
-        if minus_small:
-            return IdealClass.IN_I2
-        return IdealClass.NONSINGULAR
+        return IDEAL_CLASSES[classify_parts(self.minus, self.plus, tol)]
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.classify(tol) is IdealClass.ZERO
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "Bicomplex":
         """Multiplicative inverse; exists exactly off I1 ∪ I2."""
-        if self.classify(tol) is not IdealClass.NONSINGULAR:
-            raise SingularElementError(
-                f"no inverse: {self!r} classifies as {self.classify(tol).value}"
-            )
+        cls = self.classify(tol)
+        if cls is not IdealClass.NONSINGULAR:
+            raise SingularElementError(f"no inverse: {self!r} classifies as {cls.value}")
         return Bicomplex(1.0 / self.minus, 1.0 / self.plus)
 
     def __str__(self):

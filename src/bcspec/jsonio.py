@@ -10,7 +10,8 @@ Complex numbers are always [re, im] pairs.  Operators are read as
 {"n": int, "t1": [[[re, im], ...], ...], "t2": ...}; matrices are read in
 either the component form {"minus": ..., "plus": ...} or as entrywise scalar
 objects; vectors are only written, in component form.  Uniform [re, im] number
-pairs are read in one numpy conversion, anything else entry by entry.
+pairs are read in one numpy conversion, anything else entry by entry; complex
+arrays of any shape are written in one.
 """
 
 from __future__ import annotations
@@ -120,16 +121,14 @@ def _parse_cmatrix(value, where: str) -> np.ndarray:
     return np.vstack(rows)
 
 
-def cvector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_json(complex(z)) for z in v]
-
-
-def cmatrix_to_json(a: np.ndarray) -> list[list[list[float]]]:
-    return [cvector_to_json(row) for row in np.asarray(a)]
+def carray_to_json(a: np.ndarray) -> list:
+    """A complex array of any shape as nested lists of [re, im] pairs, in one conversion."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def vector_to_json(v: BicomplexVector) -> dict:
-    return {"minus": cvector_to_json(v.minus), "plus": cvector_to_json(v.plus)}
+    return {"minus": carray_to_json(v.minus), "plus": carray_to_json(v.plus)}
 
 
 def parse_matrix(obj, where: str = "matrix") -> BicomplexMatrix:
@@ -146,14 +145,8 @@ def parse_matrix(obj, where: str = "matrix") -> BicomplexMatrix:
         width = len(obj[0])
         if any(len(row) != width for row in obj):
             raise ParseError(f"{where}: rows have unequal lengths")
-        minus = np.zeros((len(obj), width), dtype=np.complex128)
-        plus = np.zeros((len(obj), width), dtype=np.complex128)
-        for i, row in enumerate(obj):
-            for j, cell in enumerate(row):
-                x = parse_scalar(cell, f"{where}[{i}][{j}]")
-                minus[i, j] = x.minus
-                plus[i, j] = x.plus
-        return BicomplexMatrix(minus, plus)
+        cells = [[parse_scalar(cell, f"{where}[{i}][{j}]") for j, cell in enumerate(row)] for i, row in enumerate(obj)]
+        return BicomplexMatrix([[x.minus for x in row] for row in cells], [[x.plus for x in row] for row in cells])
     raise ParseError(f"{where}: expected component form or entrywise scalars")
 
 

@@ -15,9 +15,17 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Bicomplex, IdealClass
+from .core import DEFAULT_TOL, IDEAL_CLASSES, Bicomplex, IdealClass, classify_parts
 from .errors import DimensionMismatchError, NonSquareError
 from .linalg import as_carray, column_space, frobenius, is_singular_matrix, nullspace
+
+
+def _component_pair(a, b, ndim: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Both components as finite complex arrays of the given ndim (see as_carray) and of one shape."""
+    a, b = as_carray(a, ndim), as_carray(b, ndim)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"component shapes differ: {a.shape} vs {b.shape}")
+    return a, b
 
 
 class VectorClass(Enum):
@@ -36,12 +44,7 @@ class BicomplexVector:
     plus: np.ndarray
 
     def __post_init__(self):
-        self.minus = as_carray(self.minus, ndim=1)
-        self.plus = as_carray(self.plus, ndim=1)
-        if self.minus.shape != self.plus.shape:
-            raise DimensionMismatchError(
-                f"component lengths differ: {self.minus.shape[0]} vs {self.plus.shape[0]}"
-            )
+        self.minus, self.plus = _component_pair(self.minus, self.plus, ndim=1)
 
     @classmethod
     def zero(cls, n: int) -> "BicomplexVector":
@@ -82,15 +85,12 @@ def classify_vector(v: BicomplexVector, tol: float = DEFAULT_TOL) -> VectorClass
 
     A vector can be nonzero on both component sides and still be singular:
     (e1, e2) has nonzero minus and plus parts but every entry is a zero divisor.
+    All entries are classified at once (see classify_parts), so any overflow raises.
     """
-    saw_nonzero = False
-    for i in range(v.n):
-        cls = v.entry(i).classify(tol)
-        if cls is IdealClass.NONSINGULAR:
-            return VectorClass.NONSINGULAR
-        if cls is not IdealClass.ZERO:
-            saw_nonzero = True
-    return VectorClass.SINGULAR_NONZERO if saw_nonzero else VectorClass.ZERO
+    classes = {IDEAL_CLASSES[c] for c in set(classify_parts(v.minus, v.plus, tol).tolist())}
+    if classes <= {IdealClass.ZERO}:
+        return VectorClass.ZERO
+    return VectorClass.NONSINGULAR if IdealClass.NONSINGULAR in classes else VectorClass.SINGULAR_NONZERO
 
 
 @dataclass(eq=False)
@@ -101,12 +101,7 @@ class BicomplexMatrix:
     plus: np.ndarray
 
     def __post_init__(self):
-        self.minus = as_carray(self.minus)
-        self.plus = as_carray(self.plus)
-        if self.minus.shape != self.plus.shape:
-            raise DimensionMismatchError(
-                f"component shapes differ: {self.minus.shape} vs {self.plus.shape}"
-            )
+        self.minus, self.plus = _component_pair(self.minus, self.plus)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -129,12 +124,7 @@ class BicomplexOperator:
     t2: np.ndarray
 
     def __post_init__(self):
-        self.t1 = as_carray(self.t1)
-        self.t2 = as_carray(self.t2)
-        if self.t1.shape != self.t2.shape:
-            raise DimensionMismatchError(
-                f"component shapes differ: {self.t1.shape} vs {self.t2.shape}"
-            )
+        self.t1, self.t2 = _component_pair(self.t1, self.t2)
 
     @classmethod
     def identity(cls, n: int) -> "BicomplexOperator":

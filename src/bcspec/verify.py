@@ -197,7 +197,7 @@ def _suite_scalar_singularity(check, rng, n, tol, cluster_tol):
     # one component parked a controlled distance from the threshold
     big = base.minus if abs(base.minus) > 0 else 1.0 + 0j
     offset = 10.0 ** gen.uniform(-2.0, 2.0)
-    small = tol * max(abs(big), 1.0) * offset
+    small = Bicomplex(big, 0.0).singular_threshold(tol) * offset
     candidates.append(Bicomplex(big, small))
     for x in candidates:
         z1, z2 = x.to_cartesian()

@@ -66,3 +66,32 @@ def close2ulp(a: float, b: float, scale: float | None = None) -> bool:
 
 def cclose(a: complex, b: complex, tol: float = 1e-12) -> bool:
     return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))
+
+
+def class_edge_pairs(k: int, seed: int, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """k component pairs (minus, plus) at the edges of the ideal-class rule.
+
+    One component of each pair is drawn at scales from subnormal to 1e150;
+    the other is either drawn the same way or set to the threshold
+    tol * max(|big|, 1) computed with Python's abs, exactly or one ulp to
+    either side, on the real or imaginary axis and with either sign, so
+    ties, -0.0 parts and subnormals all occur.  Which side is small varies.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        scale = 10.0 ** rng.integers(-320, 151, (2, n)).astype(float)
+        parts = rng.standard_normal((2, n)) * scale
+        parts[rng.random((2, n)) < 0.1] *= -0.0
+        return parts[0] + 1j * parts[1]
+
+    big, other = draw(k), draw(k)
+    small = np.empty(k, dtype=complex)
+    for i, z in enumerate(big):
+        thr = tol * max(abs(complex(z)), 1.0)
+        s = float(np.nextafter(thr, (0.0, thr, np.inf)[i % 3]))
+        s = -s if rng.random() < 0.5 else s
+        small[i] = complex(s, -0.0) if i % 2 else complex(0.0, s)
+    small = np.where(rng.random(k) < 0.8, small, other)
+    swap = rng.random(k) < 0.5
+    return np.where(swap, small, big), np.where(swap, big, small)

@@ -12,7 +12,9 @@ import pytest
 
 import bcspec.linalg
 import bcspec.spectra
+from bcspec import Bicomplex, BicomplexMatrix
 from bcspec.cli import main
+from conftest import class_edge_pairs
 
 EX_OP = {
     "n": 2,
@@ -89,6 +91,35 @@ class TestDecompose:
         assert report["entry_classes"][0][0] == "NonSingular"
         assert report["entry_classes"][1][1] == "InI2"
 
+
+    @pytest.mark.parametrize("form", ["operator", "matrix"])
+    def test_entry_classes_match_the_entrywise_route(self, capsys, tmp_path, form):
+        # ties at the threshold, -0.0 parts and subnormals; the reference classifies each entry as a Bicomplex
+        minus, plus = (a.reshape(24, 24) for a in class_edge_pairs(24 * 24, 32))
+        keys = ("t1", "t2") if form == "operator" else ("minus", "plus")
+        obj = {key: np.stack([a.real, a.imag], axis=-1).tolist() for key, a in zip(keys, (minus, plus))}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "decompose", "--input", str(path), "--tol", "1e-10")
+        report = json.loads(out)
+        matrix = BicomplexMatrix(minus, plus)
+        assert code == 0
+        assert report["entry_classes"] == [[matrix.entry(i, j).classify().value for j in range(24)] for i in range(24)]
+        assert report["minus"] == np.stack([minus.real, minus.imag], axis=-1).tolist()
+
+    def test_reports_build_no_scalar_per_entry(self, capsys, monkeypatch, op_file):
+        built = []
+        init = Bicomplex.__post_init__
+        monkeypatch.setattr(Bicomplex, "__post_init__", lambda self: built.append(self) or init(self))
+        eye = [[[float(i == j), 0.0] for j in range(12)] for i in range(12)]
+        code, _, _ = run_cli(capsys, "decompose", "--input", json.dumps({"t1": eye, "t2": eye}))
+        assert code == 0 and built == []
+        for n in (2, 12):
+            built.clear()
+            diag = json.dumps({"t1": [row[:n] for row in eye[:n]], "t2": [row[:n] for row in eye[:n]]})
+            code, out, _ = run_cli(capsys, "eigenspace", "--input", diag, "--lam", "[1,0]")
+            assert code == 0 and json.loads(out)["dimension"] == 2 * n
+            assert len(built) == 1  # kappa = 1*e1 + 1*e2
 
     def test_large_scaled_identity_is_nonsingular(self, capsys, tmp_path):
         eye = [[[10.0 if i == j else 0.0, 0.0] for j in range(200)] for i in range(200)]

@@ -1,5 +1,9 @@
 """Scalar algebra: representations, arithmetic, singularity, inverses."""
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,9 +17,10 @@ from bcspec import (
     SingularElementError,
     ZERO,
 )
+from bcspec.core import IDEAL_CLASSES, classify_parts
 from bcspec.oracle import cartesian_mul, classify_cartesian
 
-from conftest import cclose, close2ulp
+from conftest import cclose, class_edge_pairs, close2ulp
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e3, max_value=1e3)
 complexes = st.builds(complex, finite, finite)
@@ -131,6 +136,63 @@ class TestSingularity:
         assert Bicomplex(1e8, 1e-4).classify() is IdealClass.IN_I1
         # tiny scalar: floor of 1 makes both components negligible
         assert Bicomplex(1e-12, 1e-12).classify() is IdealClass.ZERO
+
+
+def _scalar_rule(minus: complex, plus: complex, tol: float) -> tuple[float, IdealClass]:
+    """The threshold and ideal class by Python's abs, one scalar at a time: the reference for classify_parts."""
+    thr = tol * max(abs(minus), abs(plus), 1.0)
+    small = (abs(minus) <= thr, abs(plus) <= thr)
+    classes = {
+        (True, True): IdealClass.ZERO,
+        (False, True): IdealClass.IN_I1,
+        (True, False): IdealClass.IN_I2,
+        (False, False): IdealClass.NONSINGULAR,
+    }
+    return thr, classes[small]
+
+
+class TestClassifyParts:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-4, 0.5])
+    def test_matches_the_scalar_rule_at_the_edges(self, tol):
+        minus, plus = class_edge_pairs(20000, 2204, tol)
+        want = [_scalar_rule(complex(m), complex(p), tol) for m, p in zip(minus, plus)]
+        got = [IDEAL_CLASSES[c] for c in classify_parts(minus, plus, tol)]
+        assert got == [cls for _, cls in want]
+        assert len(set(got)) == 4
+        for m, p, (thr, cls) in list(zip(minus, plus, want))[:3000]:
+            x = Bicomplex(complex(m), complex(p))
+            assert x.classify(tol) is cls
+            assert x.singular_threshold(tol) == thr  # np.hypot is Python's abs bit for bit
+
+    def test_any_shape(self):
+        minus = np.array([[1, 0], [0, 1]], dtype=complex)
+        plus = np.array([[0, 1], [0, 1]], dtype=complex)
+        assert classify_parts(minus, plus).tolist() == [[2, 1], [3, 0]]
+        assert classify_parts(np.zeros(0, complex), np.zeros(0, complex)).shape == (0,)
+        assert classify_parts(1.0, 0.0) == 2
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_a_modulus_beyond_float_range_raises(self, where):
+        # every part is finite; |1.5e308 + 1.5e308i| is not, and Python's abs raises for it
+        minus = np.array([1, 1, 1], dtype=complex)
+        plus = np.array([1, 0, 1], dtype=complex)
+        (minus if where != 1 else plus)[where] = complex(1.5e308, 1.5e308)
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            abs(complex(1.5e308, 1.5e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="absolute value too large"):
+                classify_parts(minus, plus)
+            with pytest.raises(OverflowError, match="absolute value too large"):
+                Bicomplex(minus[where], plus[where]).classify()
+
+    def test_a_threshold_beyond_float_range_makes_every_entry_zero(self):
+        # Python's tol * max(...) is inf here too, without an error
+        assert 1e300 * max(abs(1e10), 1.0) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify_parts(np.array([1e10, 1.0]), np.array([1.0, 1e308]), 1e300).tolist() == [3, 3]
+            assert Bicomplex(1e10, 1.0).classify(1e300) is IdealClass.ZERO
 
 
 class TestProperties:

@@ -80,9 +80,31 @@ class TestVector:
         assert np.allclose(back.minus, v.minus) and np.allclose(back.plus, v.plus)
 
 
+def _per_entry(a):
+    """The nested [re, im] lists of a complex array, one entry at a time: the reference for carray_to_json."""
+    if np.ndim(a) == 0:
+        return [float(a.real), float(a.imag)]
+    return [_per_entry(x) for x in a]
+
+
+class TestComplexArrays:
+    @pytest.mark.parametrize("shape", [(5,), (0,), (3, 4), (0, 3), (3, 0), (2, 3, 2)])
+    def test_equals_the_per_entry_conversion(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + sum(shape))
+        parts = rng.standard_normal((2, *shape)) * 10.0 ** rng.integers(-320, 300, (2, *shape))
+        parts.flat[::3] = -0.0
+        parts.flat[1::5] = 5e-324
+        a = parts[0] + 1j * parts[1]
+        for view in (a, a.T, np.asfortranarray(a), a[..., ::-1]):
+            assert repr(jsonio.carray_to_json(view)) == repr(_per_entry(view))  # Python floats, -0.0 kept
+
+    def test_real_input_is_read_as_complex(self):
+        assert jsonio.carray_to_json(np.array([1, -2])) == [[1.0, 0.0], [-2.0, 0.0]]
+
+
 class TestMatrixAndOperator:
     def test_operator_roundtrip(self, ex_op):
-        obj = {"n": 2, "t1": jsonio.cmatrix_to_json(ex_op.t1), "t2": jsonio.cmatrix_to_json(ex_op.t2)}
+        obj = {"n": 2, "t1": jsonio.carray_to_json(ex_op.t1), "t2": jsonio.carray_to_json(ex_op.t2)}
         back = jsonio.parse_operator(obj)
         assert np.allclose(back.t1, ex_op.t1) and np.allclose(back.t2, ex_op.t2)
 

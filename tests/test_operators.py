@@ -5,11 +5,13 @@ import pytest
 
 from bcspec import (
     Bicomplex,
+    IdealClass,
     BicomplexMatrix,
     BicomplexOperator,
     BicomplexVector,
     DimensionMismatchError,
     E1,
+    NonFiniteValueError,
     NonSquareError,
     VectorClass,
     apply,
@@ -22,7 +24,7 @@ from bcspec import (
 )
 from bcspec.oracle import Rng, block_embed, elimination_nullspace, random_operator, random_vector
 from bcspec.linalg import frobenius
-from conftest import in_span
+from conftest import class_edge_pairs, in_span
 
 
 def _schoolbook_apply(op: BicomplexOperator, v: BicomplexVector) -> BicomplexVector:
@@ -221,14 +223,56 @@ class TestVectorClassification:
         assert BicomplexVector.zero(2).is_exact_zero()
 
 
+    def test_matches_the_entrywise_route(self):
+        # the reference classifies each entry as a Bicomplex, one at a time
+        minus, plus = class_edge_pairs(6000, 96)
+        vectors = [BicomplexVector(minus[k:k + 6], plus[k:k + 6]) for k in range(0, 6000, 6)]
+        # zero vectors at the threshold tie: 1e-10 is tol * max(1e-10, 1)
+        vectors += [BicomplexVector([-0.0, 5e-324j, 1e-10], [1e-10j, -0.0, 0]), BicomplexVector.zero(0)]
+        seen = set()
+        for v in vectors:
+            classes = {v.entry(i).classify() for i in range(v.n)}
+            if classes <= {IdealClass.ZERO}:
+                want = VectorClass.ZERO
+            elif IdealClass.NONSINGULAR in classes:
+                want = VectorClass.NONSINGULAR
+            else:
+                want = VectorClass.SINGULAR_NONZERO
+            assert classify_vector(v) is want
+            seen.add(want)
+        assert seen == set(VectorClass)
+
+    def test_an_entry_beyond_float_range_raises(self):
+        # every entry is classified, the one after a non-singular entry too
+        v = BicomplexVector([1, 1.5e308 + 1.5e308j], [1, 0])
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            classify_vector(v)
+
+
 class TestTypes:
     def test_vector_component_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"component shapes differ: \(2,\) vs \(1,\)"):
             BicomplexVector([1, 2], [1])
 
     def test_matrix_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"component shapes differ: \(2, 2\) vs \(2, 3\)"):
             BicomplexMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_operator_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=r"component shapes differ: \(2, 2\) vs \(2, 3\)"):
+            BicomplexOperator(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("cls, shape", [(BicomplexVector, (2, 2)), (BicomplexMatrix, (2,)), (BicomplexOperator, (2,))])
+    def test_component_ndim_is_checked(self, cls, shape):
+        with pytest.raises(ValueError, match="-d array"):
+            cls(np.zeros(shape), np.zeros(shape))
+
+    @pytest.mark.parametrize("cls, shape", [(BicomplexVector, (2,)), (BicomplexMatrix, (2, 2)), (BicomplexOperator, (2, 2))])
+    def test_components_are_finite_complex_arrays(self, cls, shape):
+        pair = cls(np.ones(shape, dtype=int), np.zeros(shape))
+        assert all(a.dtype == np.complex128 and a.shape == shape for a in vars(pair).values())
+        with pytest.raises(NonFiniteValueError):
+            cls(np.ones(shape), np.full(shape, np.nan))
 
     def test_matrix_operator_roundtrip(self, ex_op):
         mat = BicomplexMatrix(ex_op.t1, ex_op.t2)
