@@ -14,6 +14,8 @@ import bcspec.linalg
 import bcspec.spectra
 from bcspec import Bicomplex, BicomplexMatrix
 from bcspec.cli import main
+from bcspec.oracle import Rng, random_operator
+from bcspec.spectra import component_spectra, eigenspace_sum
 from conftest import class_edge_pairs
 
 EX_OP = {
@@ -451,6 +453,32 @@ class TestExploreSum:
         assert report["direct_count"] + report["non_direct_count"] <= report["trials"]
         for w in report["witnesses"]:
             assert {"kappa", "kappa_prime", "sum_dim", "intersection_dim"} <= set(w)
+
+    def test_search_witnesses_replay(self, capsys):
+        # Each witness names its trial's random operator and its two kappas; rebuilding
+        # both and asking eigenspace_sum again must give the dimensions written for it.
+        seed, n_min, n_max = 9, 2, 4
+        code, out, err = run_cli(
+            capsys, "explore-sum", "--search", "--trials", "40", "--seed", str(seed),
+            "--n-min", str(n_min), "--n-max", str(n_max),
+        )
+        assert (code, err) == (0, "")
+        witnesses = json.loads(out)["witnesses"]
+        assert len(witnesses) >= 5
+        # the pins tell kappa from kappa_prime and the four dimensions apart
+        assert any(w["dim_first"] != w["dim_second"] for w in witnesses)
+        assert any(w["sum_dim"] != w["intersection_dim"] for w in witnesses)
+        span = n_max - n_min + 1
+        for w in witnesses:
+            trial = w["trial"]
+            planted = random_operator(
+                Rng(seed, (997, trial)).child(0), n_min + trial % span, ("generic", "shared-eigenvalue")[trial % 2]
+            )
+            kappa, kappa_prime = (Bicomplex(complex(a, b), complex(c, d)) for a, b, c, d in (w["kappa"], w["kappa_prime"]))
+            res = eigenspace_sum(component_spectra(planted.operator), kappa, kappa_prime)
+            got = {"dim_first": res.dim_first, "dim_second": res.dim_second, "sum_dim": res.sum_dim,
+                   "intersection_dim": res.intersection_dim}
+            assert got == {key: w[key] for key in got}, trial
 
     def test_search_on_a_given_operator_reads_no_sizes(self, capsys, op_file):
         search = ["explore-sum", "--search", "--trials", "6", "--seed", "3"]
