@@ -10,10 +10,11 @@ verify       randomized suites pitting every structural statement against oracle
 explore-sum  sum/intersection dimensions of two modified eigenspaces
 
 Inputs are JSON files or inline JSON; every report embeds the tolerances and
-seed it used, and identical invocations produce byte-identical output.  Exit
-codes: 0 success/verdict, 1 suite failure, 2 parse/validation error (bad
-arguments, numbers too large for float arithmetic and a report that cannot be
-written included), 3 numerical non-convergence.
+seed it used, and identical invocations produce byte-identical output at a
+fixed BLAS thread count (perfbench pins one; the golden corpus uses exact
+integer operators).  Exit codes: 0 success/verdict, 1 suite failure, 2
+parse/validation error (bad arguments, numbers too large for float arithmetic
+and a report that cannot be written included), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -249,26 +250,27 @@ def _cmd_verify(args, report: dict) -> int:
     return EXIT_OK if result.passed else EXIT_SUITE_FAILURE
 
 
-#: The flags only `explore-sum --search` reads, with their defaults.
+#: The flags only `explore-sum --search` reads, with the values it uses when they are not given.
+#: Every explore-sum mode flag parses with default argparse.SUPPRESS, so one given is a key of vars(args).
 _SEARCH_DEFAULTS = {"seed": DEFAULT_SEED, "trials": 100, "n_min": 2, "n_max": 4}
+
+
+def _sum_dims(result) -> dict:
+    """The three measured dimensions of an EigenspaceSumReport and the intersection they give."""
+    return {key: getattr(result, key) for key in ("dim_first", "dim_second", "sum_dim", "intersection_dim")}
 
 
 def _cmd_explore_sum(args, report: dict) -> int:
     unread = ("kappa", "kappa2") if args.search else tuple(_SEARCH_DEFAULTS)
     if args.search and args.input is not None:  # a given operator has its own size
         unread += ("n_min", "n_max")
-    given = [f"--{name.replace('_', '-')}" for name in unread if getattr(args, name) is not None]
-    if given:
+    refused = [f"--{name.replace('_', '-')}" for name in unread if name in vars(args)]
+    if refused:
         mode = "explicit mode" if not args.search else "--search" if args.input is None else "--search --input"
-        raise ParseError(f"explore-sum: {mode} does not read {', '.join(given)}")
+        raise ParseError(f"explore-sum: {mode} does not read {', '.join(refused)}")
     if args.search:
-        search = {
-            name: default if getattr(args, name) is None else getattr(args, name)
-            for name, default in _SEARCH_DEFAULTS.items()
-        }
-        operator = None
-        if args.input is not None:
-            operator = jsonio.parse_operator(_load_input(args.input))
+        search = {name: getattr(args, name, default) for name, default in _SEARCH_DEFAULTS.items()}
+        operator = None if args.input is None else jsonio.parse_operator(_load_input(args.input))
         result = run_sum_search(**search, operator=operator, tol=args.tol, cluster_tol=args.cluster_tol)
         report.update(
             mode="search",
@@ -276,13 +278,17 @@ def _cmd_explore_sum(args, report: dict) -> int:
             trials=search["trials"],
             direct_count=result.direct_count,
             non_direct_count=result.non_direct_count,
-            witnesses=result.witnesses,
+            witnesses=[
+                dict(_sum_dims(w.dims), trial=w.trial, kappa=jsonio.scalar_to_json(w.kappa)["idem"],
+                     kappa_prime=jsonio.scalar_to_json(w.kappa_prime)["idem"])
+                for w in result.witnesses
+            ],
             note="computed findings for the sampled operators and pairs only",
         )
         if operator is None:  # the counts depend on the sizes sampled
             report.update(n_min=search["n_min"], n_max=search["n_max"])
         return EXIT_OK
-    if args.input is None or args.kappa is None or args.kappa2 is None:
+    if args.input is None or not {"kappa", "kappa2"} <= vars(args).keys():
         raise ParseError("explore-sum: explicit mode needs --input, --kappa and --kappa2")
     op = jsonio.parse_operator(_load_input(args.input))
     kappa = jsonio.parse_scalar(jsonio.loads(args.kappa), "kappa")
@@ -292,10 +298,7 @@ def _cmd_explore_sum(args, report: dict) -> int:
         mode="explicit",
         kappa=jsonio.scalar_to_json(kappa),
         kappa_prime=jsonio.scalar_to_json(kappa2),
-        dim_first=result.dim_first,
-        dim_second=result.dim_second,
-        sum_dim=result.sum_dim,
-        intersection_dim=result.intersection_dim,
+        **_sum_dims(result),
         is_direct=result.is_direct,
         note="computed finding for this operator and pair only",
     )
@@ -352,11 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore-sum", help="directness of the sum of two modified eigenspaces")
     _add_common(p, needs_input=False)
     p.add_argument("--input", default=None, help="path to a JSON file, or inline JSON")
-    p.add_argument("--kappa", default=None)
-    p.add_argument("--kappa2", default=None)
+    p.add_argument("--kappa", default=argparse.SUPPRESS)
+    p.add_argument("--kappa2", default=argparse.SUPPRESS)
     p.add_argument("--search", action="store_true", help="sample kappa pairs instead of an explicit pair")
     for name, default in _SEARCH_DEFAULTS.items():
-        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=None, help=f"--search only (default {default})")
+        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=argparse.SUPPRESS, help=f"--search only (default {default})")
     p.set_defaults(fn=_cmd_explore_sum)
 
     return parser

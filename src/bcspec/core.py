@@ -183,7 +183,10 @@ class Bicomplex:
         cls = self.classify(tol)
         if cls is not IdealClass.NONSINGULAR:
             raise SingularElementError(f"no inverse: {self!r} classifies as {cls.value}")
-        return Bicomplex(1.0 / self.minus, 1.0 / self.plus)
+        minus, plus = 1.0 / self.minus, 1.0 / self.plus
+        if not (_is_finite(minus) and _is_finite(plus)):  # 1/z overflows when 0 < |z| < ~5.6e-309
+            raise NonFiniteValueError(f"inverse of {self!r} overflows float range")
+        return Bicomplex(minus, plus)
 
     def __str__(self):
         return f"({self.minus})*e1 + ({self.plus})*e2"

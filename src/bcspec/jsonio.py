@@ -39,13 +39,21 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def parse_complex(value, where: str) -> complex:
-    """[re, im] pair; a bare number is accepted as a real."""
+def _complex(value, where: str) -> complex:
+    """[re, im] pair, or a bare number as a real; finiteness is the caller's check (a matrix's constructor, as on the uniform route)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(float(value), 0.0)
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], where), _number(value[1], where))
     raise ParseError(f"{where}: expected [re, im], got {value!r}")
+
+
+def parse_complex(value, where: str) -> complex:
+    """A complex scalar argument: [re, im] of finite numbers, or a bare finite real."""
+    z = _complex(value, where)
+    if not np.isfinite(z):
+        raise ParseError(f"{where}: complex number must be finite, got {z!r}")
+    return z
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -89,7 +97,7 @@ def scalar_to_json(x: Bicomplex) -> dict:
 def _parse_cvector(value, where: str) -> np.ndarray:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of complex entries")
-    return np.array([parse_complex(v, f"{where}[{i}]") for i, v in enumerate(value)], dtype=np.complex128)
+    return np.array([_complex(v, f"{where}[{i}]") for i, v in enumerate(value)], dtype=np.complex128)
 
 
 def _uniform_cmatrix(value) -> np.ndarray | None:

@@ -237,8 +237,14 @@ class EigenspaceSumReport:
     dim_first: int
     dim_second: int
     sum_dim: int
-    intersection_dim: int
-    is_direct: bool
+
+    @property
+    def intersection_dim(self) -> int:
+        return self.dim_first + self.dim_second - self.sum_dim
+
+    @property
+    def is_direct(self) -> bool:
+        return self.intersection_dim == 0
 
 
 def eigenspace_sum(
@@ -252,11 +258,4 @@ def eigenspace_sum(
         column_space(np.hstack([a, b]), tol).shape[1]
         for a, b in ((first.minus_basis, second.minus_basis), (first.plus_basis, second.plus_basis))
     )
-    inter_dim = first.dim + second.dim - sum_dim
-    return EigenspaceSumReport(
-        dim_first=first.dim,
-        dim_second=second.dim,
-        sum_dim=sum_dim,
-        intersection_dim=inter_dim,
-        is_direct=inter_dim == 0,
-    )
+    return EigenspaceSumReport(first.dim, second.dim, sum_dim)

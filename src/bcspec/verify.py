@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .oracle import (
     random_vector,
 )
 from .oracle import residual as residual_norm
-from .spectra import ModifiedCase, component_spectra, eigenspace_sum, modified_eigenspace
+from .spectra import EigenspaceSumReport, ModifiedCase, component_spectra, eigenspace_sum, modified_eigenspace
 from .errors import InvalidArgumentError
 
 DEFAULT_SEED = 20240901
@@ -510,6 +511,15 @@ def run_verify(
     return VerifyReport(results)
 
 
+class SumWitness(NamedTuple):
+    """A non-direct pair: the search trial that drew it, its two kappas and their sum's dimensions."""
+
+    trial: int
+    kappa: Bicomplex
+    kappa_prime: Bicomplex
+    dims: EigenspaceSumReport
+
+
 @dataclass
 class SumSearchReport:
     """Tabulated directness of pairwise modified-eigenspace sums.
@@ -520,7 +530,7 @@ class SumSearchReport:
 
     direct_count: int
     non_direct_count: int
-    witnesses: list[dict]
+    witnesses: list[SumWitness]
 
 
 def run_sum_search(
@@ -536,34 +546,25 @@ def run_sum_search(
 
     Each trial draws an operator of size n cycling n_min..n_max, or takes the
     given operator, whose size is its own: n_min and n_max are then neither
-    checked nor used, and `explore-sum --search --input` refuses both flags.
+    checked nor used.
     """
     _check_run(seed, trials)
     if operator is None:
         _check_sizes(n_min, n_max)
     span = n_max - n_min + 1
-    direct = 0
-    non_direct = 0
-    witnesses: list[dict] = []
+    direct = non_direct = 0
+    witnesses: list[SumWitness] = []
     fixed = None if operator is None else component_spectra(operator, cluster_tol)
     for trial in range(trials):
         rng = Rng(seed, (997, trial))
-        if fixed is None:
-            n = n_min + (trial % span)
-            op = random_operator(rng.child(0), n, ("generic", "shared-eigenvalue")[trial % 2]).operator
-            report = component_spectra(op, cluster_tol)
-        else:
-            report = fixed
+        profile = ("generic", "shared-eigenvalue")[trial % 2]
+        report = _analysed(rng, n_min + (trial % span), profile, cluster_tol)[1] if fixed is None else fixed
         gen = rng.generator()
-        far = _far_scalar(gen, report.upsilon1, report.upsilon2)
-        far2 = _far_scalar(gen, report.upsilon1, report.upsilon2)
-        u1 = report.upsilon1.value_list()
-        u2 = report.upsilon2.value_list()
+        far, far2 = (_far_scalar(gen, report.upsilon1, report.upsilon2) for _ in range(2))
+        u1, u2 = report.upsilon1.value_list(), report.upsilon2.value_list()
         pool = [Bicomplex(v, far) for v in u1] + [Bicomplex(far2, v) for v in u2]
         pool += [Bicomplex(v, w) for v in u1[:2] for w in u2[:2]]
-        i = int(gen.integers(len(pool)))
-        j = int(gen.integers(len(pool)))
-        kappa, kappa2 = pool[i], pool[j]
+        kappa, kappa2 = (pool[int(gen.integers(len(pool)))] for _ in range(2))
         if kappa == kappa2:
             continue
         res = eigenspace_sum(report, kappa, kappa2, tol)
@@ -572,20 +573,5 @@ def run_sum_search(
         else:
             non_direct += 1
             if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(
-                    {
-                        "trial": trial,
-                        "kappa": [kappa.minus.real, kappa.minus.imag, kappa.plus.real, kappa.plus.imag],
-                        "kappa_prime": [
-                            kappa2.minus.real,
-                            kappa2.minus.imag,
-                            kappa2.plus.real,
-                            kappa2.plus.imag,
-                        ],
-                        "dim_first": res.dim_first,
-                        "dim_second": res.dim_second,
-                        "sum_dim": res.sum_dim,
-                        "intersection_dim": res.intersection_dim,
-                    }
-                )
+                witnesses.append(SumWitness(trial, kappa, kappa2, res))
     return SumSearchReport(direct, non_direct, witnesses)

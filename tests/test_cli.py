@@ -684,6 +684,22 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: numerical overflow: absolute value too large"]
 
+    def test_overflowing_inverse_names_the_inverse(self, capsys):
+        # the input is finite and NonSingular at this tolerance; 1/1e-310 is what overflows
+        code, out, err = run_cli(capsys, "decompose", "--input", '{"idem":[1e-310,0,1,0]}', "--tol", "1e-320")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: inverse of Bicomplex(minus=(1e-310+0j), plus=(1+0j)) overflows float range"
+        ]
+
+    @pytest.mark.parametrize(
+        "lam, shown", [("[1e400,0]", "(inf+0j)"), ("[NaN,0]", "(nan+0j)"), ("[0,-Infinity]", "-infj"), ("1e400", "(inf+0j)")]
+    )
+    def test_non_finite_lam_names_the_flag(self, capsys, op_file, lam, shown):
+        code, out, err = run_cli(capsys, "eigenspace", "--input", op_file, "--lam", lam)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: lam: complex number must be finite, got {shown}"]
+
     def test_idempotent_overflow_names_the_conversion(self, capsys):
         # every real coefficient is finite; z1 + i*z2 = 1e308 + 1e308 is not
         code, out, err = run_cli(capsys, "decompose", "--input", '{"real":[1e308,1e308,1e308,1e308]}')

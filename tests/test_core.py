@@ -123,6 +123,15 @@ class TestSingularity:
         with pytest.raises(SingularElementError):
             E1.inverse()
 
+    @pytest.mark.parametrize("minus", [1e-310, 1e-310j, -2e-319 + 1e-319j])
+    def test_inverse_beyond_float_range_names_the_inverse(self, minus):
+        # nonsingular at tol 1e-320, yet 1/minus overflows: the inverse, not the input, is refused
+        x = Bicomplex(minus, 1.0)
+        assert x.classify(1e-320) is IdealClass.NONSINGULAR
+        with pytest.raises(NonFiniteValueError, match=r"^inverse of Bicomplex\(.*\) overflows float range$"):
+            x.inverse(1e-320)
+        assert Bicomplex(2.0**-1000, 1.0).inverse(1e-320).minus == 2.0**1000  # small but invertible
+
     def test_inverse_roundtrip(self):
         x = Bicomplex.from_cartesian(1.0, 1.0)
         assert x.minus == 1 - 1j and x.plus == 1 + 1j

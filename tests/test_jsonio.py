@@ -1,5 +1,6 @@
 """JSON encodings: the three scalar forms, emitted vectors, matrices, operators."""
 
+import math
 import random
 
 import numpy as np
@@ -66,6 +67,11 @@ class TestComplexPairs:
     def test_bad_pair(self):
         with pytest.raises(ParseError, match="x"):
             jsonio.parse_complex([1], "x")
+
+    @pytest.mark.parametrize("value", [[math.inf, 0], [0, -math.inf], [math.nan, 0], [1e400, 0], 1e400, math.nan])
+    def test_non_finite_part_is_refused_with_its_location(self, value):
+        with pytest.raises(ParseError, match=r"^x: complex number must be finite, got "):
+            jsonio.parse_complex(value, "x")
 
 
 class TestVector:
@@ -204,11 +210,13 @@ class TestUniformFastPath:
         rng = np.random.default_rng(64)
         obj = {side: rng.standard_normal((64, 64, 2)).tolist() for side in ("t1", "t2")}
         calls = []
-        per_entry = jsonio.parse_complex
-        monkeypatch.setattr(jsonio, "parse_complex", lambda *a: calls.append(a) or per_entry(*a))
+        per_entry = jsonio._complex
+        monkeypatch.setattr(jsonio, "_complex", lambda *a: calls.append(a) or per_entry(*a))
         op = jsonio.parse_operator(obj)
         assert calls == []
         assert np.array_equal(op.t1, np.array(obj["t1"]) @ [1, 1j])
+        jsonio.parse_operator({"t1": [[1]], "t2": [[[1, 0]]]})  # a bare number: the per-entry route
+        assert len(calls) == 1
 
     def test_boolean_entry_is_not_a_number(self):
         with pytest.raises(ParseError, match=r"operator\.t1\[0\]\[0\]: expected a number, got True"):

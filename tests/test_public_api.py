@@ -27,6 +27,8 @@ def test_unused_api_stays_deleted():
     assert {"subspace_sum", "subspace_intersection"}.isdisjoint(dir(bcspec) + dir(bcspec.linalg))
     # results keep no copy of what the caller passed in
     assert {"kappa", "kappa_prime"}.isdisjoint(f.name for f in fields(bcspec.EigenspaceSumReport))
+    # nor what follows from the rest: the intersection and directness are derived from the three dimensions
+    assert [f.name for f in fields(bcspec.EigenspaceSumReport)] == ["dim_first", "dim_second", "sum_dim"]
     assert "trials" not in {f.name for f in fields(bcspec.verify.SuiteResult)}
     assert not hasattr(bcspec.verify.VerifyReport, "suite")
     # a subspace is its (n, k) basis array, and e1*u is BicomplexVector(u, zeros_like(u))

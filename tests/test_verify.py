@@ -6,7 +6,7 @@ import pytest
 
 import bcspec.spectra
 from bcspec.cli import main
-from bcspec.verify import SUITES, run_sum_search, run_verify
+from bcspec.verify import MAX_WITNESSES, SUITES, run_sum_search, run_verify
 
 
 def test_at_least_ten_named_suites():
@@ -82,6 +82,8 @@ def test_sum_search_deterministic_and_well_formed():
         b.witnesses,
     )
     assert a.direct_count + a.non_direct_count <= 12
+    assert len(a.witnesses) == min(a.non_direct_count, MAX_WITNESSES) > 0
     for w in a.witnesses:
-        assert w["intersection_dim"] > 0
-        assert w["sum_dim"] + w["intersection_dim"] == w["dim_first"] + w["dim_second"]
+        assert 0 <= w.trial < 12 and w.kappa != w.kappa_prime
+        assert w.dims.intersection_dim > 0 and not w.dims.is_direct
+        assert max(w.dims.dim_first, w.dims.dim_second) <= w.dims.sum_dim < w.dims.dim_first + w.dims.dim_second
