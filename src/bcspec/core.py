@@ -189,7 +189,7 @@ class Bicomplex:
         return Bicomplex(minus, plus)
 
     def __str__(self):
-        return f"({self.minus})*e1 + ({self.plus})*e2"
+        return f"{self.minus}*e1 + {self.plus}*e2"
 
 
 ZERO = Bicomplex(0.0, 0.0)

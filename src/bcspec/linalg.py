@@ -3,8 +3,10 @@
 Everything the componentwise bicomplex computations need: one rank
 decision behind singularity tests, nullspaces and column spaces as (n, k)
 arrays of orthonormal columns, an eigensolver that clusters (value, count)
-pairs on one distance matrix and keeps the eigenvector of each simple
-eigenvalue, and one membership rule (EigenSet.near).
+pairs and keeps the eigenvector of each simple eigenvalue, and one
+membership rule (EigenSet.near).  Clustering scans every pair in plain
+Python for a small spectrum and merges on one distance matrix beyond
+_SCAN_MAX clusters; both paths make the same merges bit for bit.
 Factorizations are numpy's LAPACK calls on copies scaled by a power of two
 (see _scale): one SVD per rank decision (see _svd) and one eig per
 spectrum, or one call for a (k, n, n) stack, such as an operator's two
@@ -191,6 +193,10 @@ def _moduli(z: np.ndarray, w) -> np.ndarray:
         return np.hypot(d, z.imag - w.imag, out=d)
 
 
+#: Largest number of clusters cluster_points merges by a plain-Python scan; more go to the distance matrix.
+_SCAN_MAX = 16
+
+
 def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int, tuple[int, ...]]]:
     """Agglomerate (value, count) clusters whose finite values sit within tol_abs.
 
@@ -203,14 +209,44 @@ def cluster_points(clusters, tol_abs: float) -> list[tuple[complex, int, tuple[i
     (representative, count, input indices) triples, pairwise separated by
     more than tol_abs, sorted by (real, imag).
 
-    The distances are one k-by-k matrix, inf on and below the diagonal and
-    for merged-away clusters, whose row-major argmin is the closest pair, the
-    first one on a tie; a merge refreshes the row and column of i.  O(k^2)
-    time per merge and k^2 doubles of memory.
+    Up to _SCAN_MAX clusters, each step scans every pair in plain Python,
+    with abs(a - b) as the distance, inf where abs raises: O(k^2) time per
+    merge and no numpy call.  Beyond it, _cluster_matrix merges on a k-by-k
+    distance matrix; both make the same merges bit for bit (see _moduli).
     """
     reps = [complex(v) for v, _ in clusters]
     counts = [m for _, m in clusters]
     members = [(i,) for i in range(len(reps))]
+    if len(reps) > _SCAN_MAX:
+        return _cluster_matrix(reps, counts, members, tol_abs)
+    while len(reps) > 1:
+        best, i, j = math.inf, -1, -1
+        for p, a in enumerate(reps):
+            for q in range(p + 1, len(reps)):
+                try:
+                    d = abs(a - reps[q])
+                except OverflowError:
+                    continue
+                if d < best:  # strict, so a tie keeps the first pair and an inf distance never wins
+                    best, i, j = d, p, q
+        if i < 0 or best > tol_abs:
+            break
+        counts[i] += counts[j]
+        reps[i] += (reps[j] - reps[i]) * (counts[j] / counts[i])
+        members[i] += members[j]
+        del reps[j], counts[j], members[j]
+    return sorted(zip(reps, counts, members), key=lambda c: (c[0].real, c[0].imag))
+
+
+def _cluster_matrix(
+    reps: list[complex], counts: list[int], members: list[tuple[int, ...]], tol_abs: float
+) -> list[tuple[complex, int, tuple[int, ...]]]:
+    """cluster_points on one k-by-k distance matrix, inf on and below the diagonal and for merged-away clusters.
+
+    Its row-major argmin is the closest pair, the first one on a tie; a
+    merge refreshes the row and column of i.  O(k^2) time per merge and k^2
+    doubles of memory.
+    """
     k = len(reps)
     if k <= 1:
         return list(zip(reps, counts, members))

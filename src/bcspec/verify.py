@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex, E1, E2, ONE
-from .linalg import DEFAULT_CLUSTER_TOL, EigenSet, frobenius
+from .linalg import DEFAULT_CLUSTER_TOL, EigenSet, frobenius, is_singular_matrix
 from .operators import (
     BicomplexOperator,
     VectorClass,
@@ -26,7 +26,6 @@ from .operators import (
     image,
     is_singular_operator,
     kernel,
-    shift,
 )
 from .oracle import (
     Rng,
@@ -103,21 +102,32 @@ def _singular_by_elimination(a: np.ndarray, tol: float) -> bool:
     return elimination_nullspace(a, threshold).shape[1] > 0
 
 
-def _raw_cylinder(op: BicomplexOperator, cluster_tol: float):
-    """Membership in the modified spectrum by an independent route.
+def _shifted_singular(op: BicomplexOperator, kappas, tol: float) -> list[bool]:
+    """[is_singular_operator(shift(op, kappa), tol) for kappa in kappas], from one rank test of the (2k, n, n) stack.
+
+    The stack is [t1 - kappa^- I, t2 - kappa^+ I, ...], each side built as
+    shift builds it; is_singular_matrix scales and thresholds each matrix
+    alone, so every verdict is the one the operator's own test gives.
+    """
+    eye = np.eye(op.n, dtype=np.complex128)
+    kappas = [k if isinstance(k, Bicomplex) else Bicomplex.from_complex(k) for k in kappas]
+    sides = is_singular_matrix([t - z * eye for k in kappas for t, z in ((op.t1, k.minus), (op.t2, k.plus))], tol)
+    return [a or b for a, b in zip(sides[::2], sides[1::2])]
+
+
+def _raw_cylinder(op: BicomplexOperator, cluster_tol: float, kappas: list[Bicomplex]) -> list[bool]:
+    """Membership of each kappa in the modified spectrum by an independent route.
 
     kappa is on the cylinder when kappa^- lies near a raw (unclustered)
     eigenvalue of t1 or kappa^+ near one of t2, within a verify-local
-    cluster_tol * (1 + ||t||_F); no EigenSet is involved.
+    cluster_tol * (1 + ||t||_F); no EigenSet is involved.  One broadcast
+    per side answers every kappa.
     """
-    sides = [(np.linalg.eigvals(t), cluster_tol * (1.0 + np.linalg.norm(t))) for t in (op.t1, op.t2)]
-
-    def on_cylinder(kappa: Bicomplex) -> bool:
-        return any(
-            np.abs(raw - z).min() <= bound for (raw, bound), z in zip(sides, (kappa.minus, kappa.plus))
-        )
-
-    return on_cylinder
+    near = [
+        np.abs(np.linalg.eigvals(t) - np.array(z)[:, None]).min(axis=1) <= cluster_tol * (1.0 + np.linalg.norm(t))
+        for t, z in ((op.t1, [k.minus for k in kappas]), (op.t2, [k.plus for k in kappas]))
+    ]
+    return (near[0] | near[1]).tolist()
 
 
 def _check_run(seed: int, trials: int) -> None:
@@ -277,9 +287,8 @@ def _suite_shift_singularity(check, rng, n, tol, cluster_tol):
         (Bicomplex(far, far2), False),
     ]
     eye = np.eye(n, dtype=np.complex128)
-    for kappa, expected in cases:
-        shifted = shift(op, kappa)
-        whole = is_singular_operator(shifted, tol)
+    verdicts = _shifted_singular(op, [kappa for kappa, _ in cases], tol)
+    for (kappa, expected), whole in zip(cases, verdicts):
         split = _singular_by_elimination(op.t1 - kappa.minus * eye, tol) or (
             _singular_by_elimination(op.t2 - kappa.plus * eye, tol)
         )
@@ -297,9 +306,8 @@ def _suite_eigenvalue_criterion(check, rng, n, tol, cluster_tol):
         + report.upsilon2.value_list()
         + [planted.shared_eigenvalue, _far_scalar(gen, report.upsilon1, report.upsilon2)]
     )
-    for lam in lams:
+    for lam, singular in zip(lams, _shifted_singular(op, [complex(lam) for lam in lams], tol)):
         member = report.is_eigenvalue(lam)
-        singular = is_singular_operator(shift(op, complex(lam)), tol)
         check(member == singular, "eigenvalue criterion split at {}: member={}", lam, member)
     check(report.is_eigenvalue(planted.shared_eigenvalue), "planted shared eigenvalue missed")
 
@@ -317,12 +325,11 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol):
         Bicomplex(report.upsilon1.value_list()[0], report.upsilon2.value_list()[0]),
         Bicomplex(far, far2),
     ]
-    on_cylinder = _raw_cylinder(op, cluster_tol)
-    for kappa in kappas:
+    routes = zip(kappas, _raw_cylinder(op, cluster_tol, kappas), _shifted_singular(op, kappas, tol))
+    for kappa, on_cylinder, singular in routes:
         verdict = report.classify_modified(kappa) is not None
         brute_dim = brute_modified_eigenspace(op, kappa, cluster_tol).shape[1]
-        singular = is_singular_operator(shift(op, kappa), tol)
-        check(verdict == on_cylinder(kappa), "criterion vs membership split at {}", kappa)
+        check(verdict == on_cylinder, "criterion vs membership split at {}", kappa)
         check(verdict == singular, "criterion vs shifted-singularity split at {}", kappa)
         check(
             verdict == (brute_dim > 0),
@@ -379,10 +386,9 @@ def _suite_cylinder_structure(check, rng, n, tol, cluster_tol):
     ]
     for _ in range(17):
         kappas.append(random_scalar(rng.child(int(gen.integers(1 << 30))), 2.0))
-    on_cylinder = _raw_cylinder(op, cluster_tol)
-    for kappa in kappas:
+    for kappa, on_cylinder in zip(kappas, _raw_cylinder(op, cluster_tol, kappas)):
         check(
-            on_cylinder(kappa) == (report.classify_modified(kappa) is not None),
+            on_cylinder == (report.classify_modified(kappa) is not None),
             "cylinder description disagrees with the criterion at {}", kappa,
         )
 

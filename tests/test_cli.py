@@ -502,15 +502,16 @@ class TestExploreSum:
         assert report["direct_count"] + report["non_direct_count"] <= 5
 
     def test_non_member_kappa_is_parse_level_error(self, capsys, op_file):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys,
             "explore-sum",
             "--input", op_file,
             "--kappa", '{"idem":[7,0,9,0]}',
             "--kappa2", '{"idem":[1,0,3,0]}',
         )
-        assert code == 2
-        assert "not a modified eigenvalue" in err
+        assert (code, out) == (2, "")
+        # each component is printed once, in str(complex)'s own parentheses
+        assert err.splitlines() == ["error: (7+0j)*e1 + (9+0j)*e2 is not a modified eigenvalue"]
 
 
 #: Runs CLI commands in a fresh interpreter; prints [exit code, stdout, scipy.linalg loaded] per command.

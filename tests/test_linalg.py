@@ -24,7 +24,7 @@ from bcspec import (
     column_space,
 )
 from bcspec.core import DEFAULT_TOL
-from bcspec.linalg import cluster_points, frobenius
+from bcspec.linalg import _SCAN_MAX, _cluster_matrix, cluster_points, frobenius
 from conftest import in_span, side_eigenspaces
 
 
@@ -406,9 +406,9 @@ def _scan_cluster_points(clusters, tol_abs):
     return merged
 
 
-def _cluster_case(rng, kind: int):
-    """Seeded points and tolerance of one kind: ties, ulp steps, inf tolerance, huge points."""
-    k = int(rng.integers(0, 14))
+def _cluster_case(rng, kind: int, k: int | None = None):
+    """Seeded points and tolerance of one kind: ties, ulp steps, inf tolerance, huge points; k points, else 0-13."""
+    k = int(rng.integers(0, 14)) if k is None else k
     tol = float(10.0 ** rng.uniform(-3, 0))
     if kind == 0:  # a lattice at spacing tol: many exact ties
         pts = [complex(int(a), int(b)) * tol for a, b in rng.integers(-3, 4, (k, 2))]
@@ -456,11 +456,13 @@ def _bits(clusters):
 
 
 def _as_scan(clusters, tol_abs):
-    """cluster_points, asserted to make the scan's clusters bit for bit and the scan's member partition."""
-    got, want = cluster_points(clusters, tol_abs), _scan_cluster_points(clusters, tol_abs)
-    assert _bits(got) == _bits(want), (clusters, tol_abs)
-    assert [c[2] for c in got] == [c[2] for c in want], (clusters, tol_abs)
-    assert sorted(i for c in got for i in c[2]) == list(range(len(clusters)))
+    """cluster_points and its distance-matrix path at any k, each asserted to make the scan's clusters bit for bit and the scan's member partition."""
+    want, got = _scan_cluster_points(clusters, tol_abs), cluster_points(clusters, tol_abs)
+    matrix = _cluster_matrix([complex(v) for v, _ in clusters], [m for _, m in clusters], [(i,) for i in range(len(clusters))], tol_abs)
+    for out in (got, matrix):
+        assert _bits(out) == _bits(want), (clusters, tol_abs)
+        assert [c[2] for c in out] == [c[2] for c in want], (clusters, tol_abs)
+        assert sorted(i for c in out for i in c[2]) == list(range(len(clusters)))
     return got
 
 
@@ -479,6 +481,17 @@ class TestClustering:
             clusters = [(p, int(m)) for p, m in zip(pts, weights.integers(1, 4, len(pts)))]
             got = _as_scan(clusters, tol)
             assert sum(m for _, m, _ in got) == sum(m for _, m in clusters)
+
+    def test_both_sides_of_the_path_switch_merge_as_the_scan(self):
+        # k = 16 is the last size the plain-Python scan takes, k = 17 the first the distance matrix takes
+        assert _SCAN_MAX == 16
+        rng, weights = np.random.default_rng(2029), np.random.default_rng(2030)
+        sizes = set()
+        for case in range(600):
+            pts, tol = _cluster_case(rng, case % 6, k=16 + case % 12 // 6)
+            _as_scan([(p, int(m)) for p, m in zip(pts, weights.integers(1, 4, len(pts)))], tol)
+            sizes.add(len(pts))
+        assert {16, 17} <= sizes
 
     def test_planted_clusters_deep_in_the_matrix_merge_as_the_scan(self):
         # k = 20-80, so merges refresh rows and columns far from the corner
