@@ -8,7 +8,7 @@ membership rule (EigenSet.near).  Clustering scans every pair in plain
 Python for a small spectrum and merges on one distance matrix beyond
 _SCAN_MAX clusters; both paths make the same merges bit for bit.
 Factorizations are numpy's LAPACK calls on copies scaled by a power of two
-(see _scale): one SVD per rank decision (see _svd) and one eig per
+(see _scaled): one SVD per rank decision (see _svd) and one eig per
 spectrum, or one call for a (k, n, n) stack, such as an operator's two
 sides, each scaled and thresholded alone.  Every norm and tolerance goes
 through the same exact scale, so none overflows while its true value is
@@ -44,24 +44,33 @@ def as_carray(a, ndim: int = 2) -> np.ndarray:
     return arr
 
 
-def _scale(a: np.ndarray) -> float:
-    """Scale the contiguous complex array A in place by s = 2**-e, e the exponent of its largest real or imaginary part and at least -1021; return s.
+def _scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each matrix A of a complex (k, m, n) stack in place by s = 2**-e; return every s and every ||sA||_F.
 
-    No part of s*A reaches 1, so no norm or singular value of s*A overflows,
-    and scaling by a power of two is exact; the floor keeps s finite when
-    every entry is subnormal.  An empty or zero A has s = 1.
+    The stack is C-contiguous, or a stack of Fortran-ordered matrices, as
+    np.array copies a Fortran-ordered A[None].
+
+    e is the exponent of A's largest real or imaginary part, at least
+    -1021.  No part of s*A reaches 1, so no norm or singular value of s*A
+    overflows, and scaling by a power of two is exact; the floor keeps s
+    finite when every entry is subnormal.  An empty or zero A has s = 1.
+    One reduction finds every scale, and each squared norm is the BLAS dot
+    of sA's real parts with themselves plus that of its imaginary parts,
+    the two dots np.linalg.norm takes, so every figure is the one A alone
+    gets, bit for bit.
     """
-    big = float(np.abs(a.ravel("K").view(np.float64)).max(initial=0.0))
-    s = math.ldexp(1.0, -max(math.frexp(big)[1], -1021))
-    a *= s
-    return s
+    items = stack if stack.flags.c_contiguous else stack.transpose(0, 2, 1)  # C-contiguous: each A's parts in memory order
+    parts = items.reshape(len(stack), math.prod(stack.shape[1:])).view(np.float64)
+    s = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(parts).max(axis=1, initial=0.0))[1], -1021))
+    stack *= s[:, None, None]
+    re, im = parts[:, None, 0::2], parts[:, None, 1::2]
+    return s, np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
 
 
 def frobenius(a) -> float:
-    """Frobenius norm, as ||sA||_F / s (see _scale): inf only when the norm itself exceeds float range."""
-    a = np.array(a, dtype=np.complex128)
-    s = _scale(a)
-    return float(np.linalg.norm(a)) / s
+    """Frobenius norm, as ||sA||_F / s (see _scaled): inf only when the norm itself exceeds float range."""
+    [s], [norm] = _scaled(np.array(a, dtype=np.complex128).ravel("K").reshape(1, 1, -1))
+    return float(norm) / float(s)
 
 
 def _square_stack(a, op: str) -> tuple[np.ndarray, bool]:
@@ -129,7 +138,7 @@ class EigenSet:
 
 
 def _svd(stack: np.ndarray, tol: float, threshold: float | None = None, vectors: bool = False):
-    """The rank of each A of the (k, m, n) stack, and one SVD of the stack of s*A, each A scaled in place (see _scale).
+    """The rank of each A of the (k, m, n) stack, and one SVD of the stack of s*A, each A scaled in place (see _scaled).
 
     The SVD gives the singular values, or with vectors (u, sigma, vh).
     Singular values at or below the threshold, scaled alike, count as zero,
@@ -139,15 +148,15 @@ def _svd(stack: np.ndarray, tol: float, threshold: float | None = None, vectors:
     matrices consistent with the scalar classifier.  u and vh are square.
     A must be non-empty.
     """
-    scales = [_scale(a) for a in stack]
+    scales, norms = _scaled(stack)
     try:
         factors = np.linalg.svd(stack, compute_uv=vectors)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
     sigmas = factors[1] if vectors else factors
-    bounds = [tol * max(float(np.linalg.norm(a)), s) * max(a.shape) if threshold is None else s * threshold
-              for a, s in zip(stack, scales)]
-    return [int(np.count_nonzero(sigma > bound)) for sigma, bound in zip(sigmas, bounds)], factors
+    with np.errstate(over="ignore"):  # a bound beyond float range is inf
+        bounds = tol * np.maximum(norms, scales) * max(stack.shape[1:]) if threshold is None else scales * threshold
+    return np.count_nonzero(sigmas > bounds[:, None], axis=1).tolist(), factors
 
 
 def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool | list[bool]:
@@ -272,7 +281,7 @@ def _cluster_matrix(
 
 
 def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet | list[EigenSet]:
-    """Clustered spectrum of a square matrix, from one eig of s*A (see _scale); on a (k, n, n) stack, the k spectra from one eig.
+    """Clustered spectrum of a square matrix, from one eig of s*A (see _scaled); on a (k, n, n) stack, the k spectra from one eig.
 
     Its tol, the absolute clustering and membership tolerance
     cluster_tol * (1 + ||A||_F), is computed on the same copy as
@@ -284,20 +293,20 @@ def eigenvalues(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> EigenSet | list[
     A simple cluster takes its one value's eig vector.
     """
     stack, single = _square_stack(a, "eigenvalues")
-    scales = [_scale(sa) for sa in stack]
-    tols = [cluster_tol * (s + float(np.linalg.norm(sa))) / s for sa, s in zip(stack, scales)]
+    scales, norms = _scaled(stack)
     try:
         values, vectors = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:  # deflation budget exhausted inside LAPACK
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    # s = 2**-e with e = 1 - frexp(s)[1]; a tol or a part beyond float range becomes inf
+    with np.errstate(over="ignore"):
+        tols = (cluster_tol * (scales + norms) / scales).tolist()
+        values = np.ldexp(values.view(np.float64), 1 - np.frexp(scales)[1][:, None]).view(np.complex128)
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError("eig gave a non-finite eigenvalue of a finite matrix")
     sets = []
-    for vals, vecs, s, tol in zip(values, vectors, scales, tols):
-        # s = 2**-e with e = 1 - frexp(s)[1]; a part beyond float range becomes inf
-        with np.errstate(over="ignore"):
-            vals = np.ldexp(vals.view(np.float64), 1 - math.frexp(s)[1]).view(np.complex128)
-        if not np.isfinite(vals).all():
-            raise NonFiniteValueError("eig gave a non-finite eigenvalue of a finite matrix")
-        clusters = cluster_points([(v, 1) for v in vals.tolist()], tol)
+    for vals, vecs, tol in zip(values.tolist(), vectors, tols):
+        clusters = cluster_points([(v, 1) for v in vals], tol)
         kept = tuple(vecs[:, idx[0]] if m == 1 else None for _, m, idx in clusters)
         sets.append(EigenSet(tuple((v, m) for v, m, _ in clusters), tol, kept))
     return sets[0] if single else sets

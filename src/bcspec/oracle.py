@@ -55,6 +55,9 @@ def complex_normal(gen: np.random.Generator, size=None) -> np.ndarray | complex:
 
 # -- scalar oracles -----------------------------------------------------
 
+#: Largest part of z1, z2 that classify_cartesian squares unscaled; q**2 stays finite below about 1e77.
+_CARTESIAN_LIMIT = 2.0**200
+
 
 def cartesian_mul(x: Bicomplex, y: Bicomplex) -> Bicomplex:
     """Product computed in the cartesian form, never touching the componentwise rule.
@@ -75,15 +78,25 @@ def classify_cartesian(z1: complex, z2: complex, tol: float = DEFAULT_TOL) -> Id
     magnitude b is sqrt(q + sqrt(q**2 - s**2)).  The scalar is singular when
     s <= tol * max(b, 1) * b, the image of the component criterion.  The
     ideal tag, when singular, needs the individual component magnitudes.
+
+    Past _CARTESIAN_LIMIT, where q**2 and |z1|**2 overflow, z1 and z2 are
+    first scaled by c = 2**-e, e the exponent of their largest part; the
+    rule is then checked on c*b with c standing for 1, exactly as a power of
+    two scales it.
     """
     z1 = complex(z1)
     z2 = complex(z2)
+    c = 1.0
+    big = max(abs(z1.real), abs(z1.imag), abs(z2.real), abs(z2.imag))
+    if big > _CARTESIAN_LIMIT:
+        c = math.ldexp(1.0, -math.frexp(big)[1])
+        z1, z2 = z1 * c, z2 * c
     s = abs(z1 * z1 + z2 * z2)
     q = abs(z1) ** 2 + abs(z2) ** 2
     b = math.sqrt(q + math.sqrt(max(q * q - s * s, 0.0)))
-    if b <= tol * max(b, 1.0):
+    if b <= tol * max(b, c):
         return IdealClass.ZERO
-    if s > tol * max(b, 1.0) * b:
+    if s > tol * max(b, c) * b:
         return IdealClass.NONSINGULAR
     if abs(z1 + 1j * z2) <= abs(z1 - 1j * z2):
         return IdealClass.IN_I1
@@ -198,29 +211,25 @@ class PlantedOperator:
     """Random operator plus the ground truth planted into it."""
 
     operator: BicomplexOperator
+    profile: str
     shared_eigenvalue: complex | None = None
     defective_side: int | None = None          # 1 or 2: Jordan-type block planted there
     defective_eigenvalue: complex | None = None
 
 
-def _unitary(gen: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(complex_normal(gen, (n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _with_spectrum(gen, diag, coupling_at: int | None = None) -> np.ndarray:
-    """Upper-triangular matrix with the given diagonal, unitarily disguised.
+def _disguise(gen: np.random.Generator, diag, coupling_at: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(t, z): the upper-triangular t with the given diagonal, and the Gaussian z whose unitary factor disguises it.
 
     coupling_at plants a 2-block at that diagonal index (requires the two
-    diagonal entries there to be equal for a true defect).
+    diagonal entries there to be equal for a true defect).  random_operators
+    turns the pair into q @ t @ q^H, q the unitary factor of z.
     """
     n = len(diag)
     t = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(t, diag)
     if coupling_at is not None:
         t[coupling_at, coupling_at + 1] = _JORDAN_COUPLING
-    q = _unitary(gen, n)
-    return q @ t @ q.conj().T
+    return t, complex_normal(gen, (n, n))
 
 
 def _distinct_diag(gen, n: int, avoid: complex | None = None) -> np.ndarray:
@@ -232,17 +241,12 @@ def _distinct_diag(gen, n: int, avoid: complex | None = None) -> np.ndarray:
     return vals
 
 
-def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperator:
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    gen = rng.generator()
+def _draw(gen: np.random.Generator, n: int, profile: str) -> tuple[list, dict]:
+    """One operator's draws from gen, in a fixed order: its two sides and its planted truth.
 
+    A side is a matrix, or a (t, z) pair of _disguise still to be disguised."""
     if profile == "generic":
-        t1 = complex_normal(gen, (n, n))
-        t2 = complex_normal(gen, (n, n))
-        return PlantedOperator(BicomplexOperator(t1, t2))
+        return [complex_normal(gen, (n, n)), complex_normal(gen, (n, n))], {}
 
     if profile == "shared-eigenvalue":
         lam = complex(complex_normal(gen)) * 2.0
@@ -252,9 +256,7 @@ def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperat
         slot2 = int(gen.integers(n))
         d1[slot1] = lam
         d2[slot2] = lam
-        t1 = _with_spectrum(gen, d1)
-        t2 = _with_spectrum(gen, d2)
-        return PlantedOperator(BicomplexOperator(t1, t2), shared_eigenvalue=lam)
+        return [_disguise(gen, d1), _disguise(gen, d2)], {"shared_eigenvalue": lam}
 
     if profile == "rank-deficient":
         side = int(gen.integers(2)) + 1
@@ -264,23 +266,52 @@ def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperat
         else:
             deficient = complex_normal(gen, (n, r)) @ complex_normal(gen, (r, n))
         other = complex_normal(gen, (n, n))
-        t1, t2 = (deficient, other) if side == 1 else (other, deficient)
-        return PlantedOperator(BicomplexOperator(t1, t2))
+        return ([deficient, other] if side == 1 else [other, deficient]), {}
 
     # defective: a geometric deficiency on one side (needs n >= 2; at n = 1
     # it degrades to a planted simple eigenvalue).
     side = int(gen.integers(2)) + 1
     lam = complex(complex_normal(gen)) * 2.0
     if n == 1:
-        planted = _with_spectrum(gen, np.array([lam]))
+        planted = _disguise(gen, np.array([lam]))
     else:
         diag = _distinct_diag(gen, n, avoid=lam)
         diag[0] = lam
         diag[1] = lam
-        planted = _with_spectrum(gen, diag, coupling_at=0)
+        planted = _disguise(gen, diag, coupling_at=0)
     other = complex_normal(gen, (n, n))
-    t1, t2 = (planted, other) if side == 1 else (other, planted)
-    return PlantedOperator(BicomplexOperator(t1, t2), defective_side=side, defective_eigenvalue=lam)
+    return ([planted, other] if side == 1 else [other, planted]), {"defective_side": side, "defective_eigenvalue": lam}
+
+
+def random_operators(rngs, n: int, profile: str = "generic") -> list[PlantedOperator]:
+    """One planted n x n operator of the profile per Rng, each drawn from rng.generator() alone.
+
+    The draws of each operator come in a fixed order from its own
+    generator, so an operator never depends on the others in the list.
+    Every disguised side then shares one stacked QR, whose unitary factors
+    get their phases fixed by the diagonal of R, and one stacked
+    q @ t @ q^H; each matrix of a stack is computed as it would be alone,
+    bit for bit.
+    """
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    drawn = [_draw(rng.generator(), n, profile) for rng in rngs]
+    disguised = [(sides, k) for sides, _ in drawn for k, side in enumerate(sides) if isinstance(side, tuple)]
+    if disguised:
+        t, z = (np.array([sides[k][part] for sides, k in disguised]) for part in (0, 1))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        q *= (d / np.abs(d))[:, None, :]
+        for (sides, k), a in zip(disguised, q @ t @ q.conj().transpose(0, 2, 1)):
+            sides[k] = a
+    return [PlantedOperator(BicomplexOperator(*sides), profile, **truth) for sides, truth in drawn]
+
+
+def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperator:
+    """One planted operator of the profile drawn from rng: random_operators on a list of one."""
+    return random_operators([rng], n, profile)[0]
 
 
 def random_vector(rng: Rng, n: int) -> BicomplexVector:

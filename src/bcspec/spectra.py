@@ -20,8 +20,9 @@ Terminology, for an operator acting on C2^n:
 
 The modified spectrum is therefore represented intensionally by (Y1, Y2)
 plus the cylinder rule; it is never materialized.  component_spectra computes
-that analysis once per operator as a SpectrumReport, and every query below
-takes the report.  Every eigenspace comes from modified_eigenspace, the
+that analysis once per operator as a SpectrumReport (stacked_spectra, for
+many operators of one size at once), and every query below takes the
+report.  Every eigenspace comes from modified_eigenspace, the
 eigenspace of an eigenvalue lambda being that of lambda*e1 + lambda*e2.
 """
 
@@ -144,10 +145,26 @@ def _set_str(es: EigenSet) -> str:
 def component_spectra(
     op: BicomplexOperator, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> SpectrumReport:
-    """Y1 = spectrum of t1 and Y2 = spectrum of t2, each with its own tolerance, from one eig of the pair."""
-    if not op.is_square:
-        raise NonSquareError(f"spectra need a square operator, got {op.shape}")
-    return SpectrumReport(op, *eigenvalues((op.t1, op.t2), cluster_tol))
+    """Y1 = spectrum of t1 and Y2 = spectrum of t2, each with its own tolerance: stacked_spectra of the one operator."""
+    return stacked_spectra([op], cluster_tol)[0]
+
+
+def stacked_spectra(ops, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[SpectrumReport]:
+    """The SpectrumReport of each square operator of one size, from one eig of the (2B, n, n) stack of their sides.
+
+    eigenvalues scales, thresholds and clusters each side alone, so every
+    report is the one the operator would get alone, bit for bit.
+    """
+    for op in ops:
+        if not op.is_square:
+            raise NonSquareError(f"spectra need a square operator, got {op.shape}")
+    sizes = {op.n for op in ops}
+    if len(sizes) > 1:
+        raise DimensionMismatchError(f"a stack needs operators of one size, got sizes {sorted(sizes)}")
+    if not ops:
+        return []
+    sides = eigenvalues([t for op in ops for t in (op.t1, op.t2)], cluster_tol)
+    return [SpectrumReport(op, *sides[2 * i : 2 * i + 2]) for i, op in enumerate(ops)]
 
 
 @dataclass(eq=False)

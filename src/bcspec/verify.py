@@ -5,12 +5,20 @@ computation (cartesian arithmetic, |z1**2 + z2**2|, Gauss-Jordan elimination
 on the components or the block embedding) over seeded random trials.  A
 failure message always carries the (seed, suite, trial) key that replays it
 bit-identically.
+
+Trials draw alone and are solved per stack.  A suite that checks one random
+operator per trial names the profiles it draws from (_suite's profiles).
+Each trial draws its operator from its own Rng(seed, (suite, trial)).child(0),
+so replay keys are unchanged; the runner then builds and analyses the
+operators of a block of trials one stack per (n, profile) (see _analyses)
+and hands each trial its (planted, report).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -36,11 +44,19 @@ from .oracle import (
     complex_normal,
     elimination_nullspace,
     random_operator,
+    random_operators,
     random_scalar,
     random_vector,
 )
 from .oracle import residual as residual_norm
-from .spectra import EigenspaceSumReport, ModifiedCase, component_spectra, eigenspace_sum, modified_eigenspace
+from .spectra import (
+    EigenspaceSumReport,
+    ModifiedCase,
+    component_spectra,
+    eigenspace_sum,
+    modified_eigenspace,
+    stacked_spectra,
+)
 from .errors import InvalidArgumentError
 
 DEFAULT_SEED = 20240901
@@ -49,6 +65,10 @@ DEFAULT_TRIALS = 500
 MAX_MESSAGES = 5
 #: Non-direct witnesses kept in a sum-search report.
 MAX_WITNESSES = 10
+#: Most trials whose operators are drawn and analysed together.
+_BLOCK_TRIALS = 256
+#: Most matrix entries (2 n**2 per trial) drawn and analysed together, unless one trial alone has more.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -142,10 +162,42 @@ def _check_sizes(n_min: int, n_max: int) -> None:
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
 
 
-def _analysed(rng, n: int, profile: str, cluster_tol: float):
-    """(planted, report): a random operator of the profile, drawn from rng.child(0), and its analysis."""
-    planted = random_operator(rng.child(0), n, profile)
-    return planted, component_spectra(planted.operator, cluster_tol)
+def _blocks(sizes: list[int]):
+    """Split trials 0..len(sizes)-1, trial i of size sizes[i], into consecutive ranges.
+
+    A range holds at most _BLOCK_TRIALS trials and, unless it is one trial,
+    at most _BLOCK_ENTRIES matrix entries, 2 n**2 per trial.
+    """
+    start = 0
+    while start < len(sizes):
+        stop, entries = start + 1, 2 * sizes[start] ** 2
+        while stop < len(sizes) and stop - start < _BLOCK_TRIALS:
+            entries += 2 * sizes[stop] ** 2
+            if entries > _BLOCK_ENTRIES:
+                break
+            stop += 1
+        yield range(start, stop)
+        start = stop
+
+
+def _analyses(rngs: list[Rng], sizes: list[int], profiles: list[str], cluster_tol: float):
+    """(planted, report) for each trial i in order: its operator of size sizes[i] and profile profiles[i], and its analysis.
+
+    Each block of trials (see _blocks) is drawn and analysed before its
+    first trial is handed out: the trials of one (n, profile) by one
+    random_operators call on their rngs[i].child(0) and one stacked_spectra
+    call, bit for bit what random_operator and component_spectra give each.
+    """
+    for block in _blocks(sizes):
+        groups: dict[tuple[int, str], list[int]] = {}
+        for i in block:
+            groups.setdefault((sizes[i], profiles[i]), []).append(i)
+        analysed = {}
+        for (n, profile), members in groups.items():
+            planted = random_operators([rngs[i].child(0) for i in members], n, profile)
+            analysed.update(zip(members, zip(planted, stacked_spectra([p.operator for p in planted], cluster_tol))))
+        for i in block:
+            yield analysed.pop(i)
 
 
 def _residual_bound(op: BicomplexOperator, cluster_tol: float) -> float:
@@ -169,16 +221,27 @@ def _match_multisets(left: list[complex], right: list[complex], tol_abs: float) 
 
 #: (name, statement, fn) per suite, in definition order; a trial's Rng is keyed by its suite's index here.
 SUITES: list[tuple[str, str, object]] = []
+#: By suite name, the profiles a suite that checks one random operator per trial cycles through: trial t draws profiles[t % len].
+_PROFILES: dict[str, tuple[str, ...]] = {}
 
 
-def _suite(statement: str):
-    """Register the decorated _suite_<name> function under <name> with the statement it checks."""
+def _suite(statement: str, profiles: tuple[str, ...] = ()):
+    """Register the decorated _suite_<name> function under <name> with the statement it checks.
+
+    With profiles, fn also takes the trial's (planted, report) (see _analyses)."""
 
     def register(fn):
-        SUITES.append((fn.__name__.removeprefix("_suite_"), statement, fn))
+        name = fn.__name__.removeprefix("_suite_")
+        SUITES.append((name, statement, fn))
+        if profiles:
+            _PROFILES[name] = profiles
         return fn
 
     return register
+
+
+#: The profile of the seven suites that check the eigenvalue and modified-eigenvalue theorems.
+_SHARED = ("shared-eigenvalue",)
 
 
 @_suite("x*y = (x^- y^-) e1 + (x^+ y^+) e2, matching cartesian multiplication")
@@ -274,9 +337,8 @@ def _suite_operator_singularity(check, rng, n, tol, cluster_tol):
         check(singular, "planted rank deficiency not detected")
 
 
-@_suite("(T - kappa I) is singular iff (T1 - kappa1 I) or (T2 - kappa2 I) is")
-def _suite_shift_singularity(check, rng, n, tol, cluster_tol):
-    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+@_suite("(T - kappa I) is singular iff (T1 - kappa1 I) or (T2 - kappa2 I) is", profiles=_SHARED)
+def _suite_shift_singularity(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
@@ -296,9 +358,8 @@ def _suite_shift_singularity(check, rng, n, tol, cluster_tol):
         check(whole == expected, "shifted singularity wrong at {}: got {}", kappa, whole)
 
 
-@_suite("lambda is an eigenvalue of T iff lambda ∈ Y1 ∪ Y2 iff (T - lambda I) is singular")
-def _suite_eigenvalue_criterion(check, rng, n, tol, cluster_tol):
-    planted, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+@_suite("lambda is an eigenvalue of T iff lambda ∈ Y1 ∪ Y2 iff (T - lambda I) is singular", profiles=_SHARED)
+def _suite_eigenvalue_criterion(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     gen = rng.generator()
     lams = (
@@ -312,9 +373,8 @@ def _suite_eigenvalue_criterion(check, rng, n, tol, cluster_tol):
     check(report.is_eigenvalue(planted.shared_eigenvalue), "planted shared eigenvalue missed")
 
 
-@_suite("kappa is a modified eigenvalue iff kappa1 ∈ Y1 or kappa2 ∈ Y2 iff (T - kappa I) is singular")
-def _suite_modified_criterion(check, rng, n, tol, cluster_tol):
-    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+@_suite("kappa is a modified eigenvalue iff kappa1 ∈ Y1 or kappa2 ∈ Y2 iff (T - kappa I) is singular", profiles=_SHARED)
+def _suite_modified_criterion(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
@@ -337,9 +397,8 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol):
         )
 
 
-@_suite("Y1 xe Y2 is properly contained in the modified spectrum Y")
-def _suite_containment(check, rng, n, tol, cluster_tol):
-    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+@_suite("Y1 xe Y2 is properly contained in the modified spectrum Y", profiles=_SHARED)
+def _suite_containment(check, rng, n, tol, cluster_tol, planted, report):
     y1, y2 = report.upsilon1, report.upsilon2
     for k1 in y1.value_list():
         for k2 in y2.value_list():
@@ -353,9 +412,8 @@ def _suite_containment(check, rng, n, tol, cluster_tol):
     check(not y2.contains(witness.plus), "witness does not leave the idempotent-product grid")
 
 
-@_suite("kappa1 e1 + w e2 is modified for every w when kappa1 ∈ Y1 (and symmetrically)")
-def _suite_infinite_family(check, rng, n, tol, cluster_tol):
-    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+@_suite("kappa1 e1 + w e2 is modified for every w when kappa1 ∈ Y1 (and symmetrically)", profiles=_SHARED)
+def _suite_infinite_family(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     gen = rng.generator()
     samples = [0.0, complex(complex_normal(gen)) * 3.0, complex(complex_normal(gen)) * 30.0]
@@ -373,9 +431,8 @@ def _suite_infinite_family(check, rng, n, tol, cluster_tol):
     check(not report.upsilon1.contains(outside), "far base {} counted as a member of Y1", outside)
 
 
-@_suite("Y = (Y1 xe C1) ∪ (C1 xe Y2)")
-def _suite_cylinder_structure(check, rng, n, tol, cluster_tol):
-    _, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+@_suite("Y = (Y1 xe C1) ∪ (C1 xe Y2)", profiles=_SHARED)
+def _suite_cylinder_structure(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
@@ -393,11 +450,11 @@ def _suite_cylinder_structure(check, rng, n, tol, cluster_tol):
         )
 
 
-@_suite("the modified eigenspace splits as E1(kappa1) xe E2(kappa2) with {0} on non-member sides")
-def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
-    trial = rng.stream[-1]
-    profile = ("shared-eigenvalue", "defective", "rank-deficient")[trial % 3]
-    _, report = _analysed(rng, n, profile, cluster_tol)
+@_suite(
+    "the modified eigenspace splits as E1(kappa1) xe E2(kappa2) with {0} on non-member sides",
+    profiles=("shared-eigenvalue", "defective", "rank-deficient"),
+)
+def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     gen = rng.generator()
     far = _far_scalar(gen, report.upsilon1, report.upsilon2)
@@ -413,7 +470,7 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
         space = modified_eigenspace(report, kappa)
         check(
             space.dim == brute.shape[1],
-            "structure dim {} != block dim {} at {} ({})", space.dim, brute.shape[1], kappa, profile,
+            "structure dim {} != block dim {} at {} ({})", space.dim, brute.shape[1], kappa, planted.profile,
         )
         check(space.max_residual(op) <= bound, "residual above {} at {}", bound, kappa)
         if space.case is not ModifiedCase.BOTH:
@@ -436,9 +493,8 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol):
             break
 
 
-@_suite("a modified eigenvalue exists iff an eigenvalue exists (always, for n >= 1)")
-def _suite_existence(check, rng, n, tol, cluster_tol):
-    _, report = _analysed(rng, n, "generic", cluster_tol)
+@_suite("a modified eigenvalue exists iff an eigenvalue exists (always, for n >= 1)", profiles=("generic",))
+def _suite_existence(check, rng, n, tol, cluster_tol, planted, report):
     check(len(report.eigenvalues_of_T.values) > 0, "eigenvalue set empty")
     check(
         len(report.upsilon1.values) > 0 or len(report.upsilon2.values) > 0,
@@ -448,11 +504,11 @@ def _suite_existence(check, rng, n, tol, cluster_tol):
     check(report.classify_modified(kappa) is not None, "no modified eigenvalue despite a nonempty spectrum")
 
 
-@_suite("the spectrum of diag(t1, t2) is the multiset union of the component spectra")
-def _suite_block_spectrum(check, rng, n, tol, cluster_tol):
-    trial = rng.stream[-1]
-    profile = ("generic", "shared-eigenvalue", "defective")[trial % 3]
-    _, report = _analysed(rng, n, profile, cluster_tol)
+@_suite(
+    "the spectrum of diag(t1, t2) is the multiset union of the component spectra",
+    profiles=("generic", "shared-eigenvalue", "defective"),
+)
+def _suite_block_spectrum(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     block = block_embed(op)
     block_eigs = list(np.linalg.eigvals(block))
@@ -460,13 +516,12 @@ def _suite_block_spectrum(check, rng, n, tol, cluster_tol):
     tol_abs = cluster_tol * (1.0 + np.linalg.norm(block))
     check(
         _match_multisets([complex(z) for z in block_eigs], expected, tol_abs),
-        "block spectrum is not the disjoint union of the component spectra ({})", profile,
+        "block spectrum is not the disjoint union of the component spectra ({})", planted.profile,
     )
 
 
-@_suite("membership verdicts are invariant under componentwise similarity P T P^-1")
-def _suite_similarity_invariance(check, rng, n, tol, cluster_tol):
-    planted, report = _analysed(rng, n, "shared-eigenvalue", cluster_tol)
+@_suite("membership verdicts are invariant under componentwise similarity P T P^-1", profiles=_SHARED)
+def _suite_similarity_invariance(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     gen = rng.generator()
     # well-conditioned by construction: unitary * diag(0.5..2) * unitary
@@ -500,15 +555,18 @@ def run_verify(
     """Run every suite for `trials` seeded trials with n cycling n_min..n_max."""
     _check_run(seed, trials)
     _check_sizes(n_min, n_max)
-    span = n_max - n_min + 1
+    sizes = [n_min + trial % (n_max - n_min + 1) for trial in range(trials)]
     results = []
     for suite_index, (name, statement, fn) in enumerate(SUITES):
         result = SuiteResult(name=name, statement=statement)
-        for trial in range(trials):
-            n = n_min + (trial % span)
-            rng = Rng(seed, (suite_index, trial))
+        rngs = [Rng(seed, (suite_index, trial)) for trial in range(trials)]
+        analyses = repeat(())
+        if name in _PROFILES:
+            cycle = _PROFILES[name]
+            analyses = _analyses(rngs, sizes, [cycle[trial % len(cycle)] for trial in range(trials)], cluster_tol)
+        for trial, (rng, n, analysed) in enumerate(zip(rngs, sizes, analyses)):
             chk = _Check(f"seed={seed} suite={name} trial={trial} n={n}")
-            fn(chk, rng, n, tol, cluster_tol)
+            fn(chk, rng, n, tol, cluster_tol, *analysed)
             if chk.messages:
                 result.failures += 1
                 if len(result.messages) < MAX_MESSAGES:
@@ -557,14 +615,16 @@ def run_sum_search(
     _check_run(seed, trials)
     if operator is None:
         _check_sizes(n_min, n_max)
-    span = n_max - n_min + 1
     direct = non_direct = 0
     witnesses: list[SumWitness] = []
-    fixed = None if operator is None else component_spectra(operator, cluster_tol)
-    for trial in range(trials):
-        rng = Rng(seed, (997, trial))
-        profile = ("generic", "shared-eigenvalue")[trial % 2]
-        report = _analysed(rng, n_min + (trial % span), profile, cluster_tol)[1] if fixed is None else fixed
+    rngs = [Rng(seed, (997, trial)) for trial in range(trials)]
+    if operator is None:
+        sizes = [n_min + trial % (n_max - n_min + 1) for trial in range(trials)]
+        profiles = [("generic", "shared-eigenvalue")[trial % 2] for trial in range(trials)]
+        reports = (report for _, report in _analyses(rngs, sizes, profiles, cluster_tol))
+    else:
+        reports = repeat(component_spectra(operator, cluster_tol))
+    for trial, (rng, report) in enumerate(zip(rngs, reports)):
         gen = rng.generator()
         far, far2 = (_far_scalar(gen, report.upsilon1, report.upsilon2) for _ in range(2))
         u1, u2 = report.upsilon1.value_list(), report.upsilon2.value_list()

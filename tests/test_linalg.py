@@ -24,7 +24,7 @@ from bcspec import (
     column_space,
 )
 from bcspec.core import DEFAULT_TOL
-from bcspec.linalg import _SCAN_MAX, _cluster_matrix, cluster_points, frobenius
+from bcspec.linalg import _SCAN_MAX, _cluster_matrix, _scaled, cluster_points, frobenius
 from conftest import in_span, side_eigenspaces
 
 
@@ -368,6 +368,28 @@ class TestOneScale:
                     assert got == math.inf
                 else:
                     assert abs(got - exact) <= max(1e-14 * exact, 2.0**-1074), (a.tolist(), got, exact)
+
+    def test_a_stack_scales_and_norms_each_matrix_as_it_would_alone(self):
+        # One reduction and one pair of stacked dots per stack: each scale, each scaled matrix and
+        # each norm is what the matrix alone gets from its own max, its own *= and np.linalg.norm,
+        # byte for byte, at magnitudes 1e-300..1e300, with zero matrices, and on a Fortran-ordered matrix.
+        rng = np.random.default_rng(25)
+        for trial in range(600):
+            k, m = (int(v) for v in rng.integers(1, 13, 2))
+            n = m if trial % 3 else int(rng.integers(1, 13))
+            stack = _complex_gauss(rng, (k, m, n)) * 10.0 ** rng.uniform(-300, 300, (k, 1, 1))
+            stack[0] *= trial % 5 != 0
+            if trial % 4 == 0:
+                stack = np.array(np.asfortranarray(stack[0])[None])
+            want = []
+            for a in stack:
+                s = math.ldexp(1.0, -max(math.frexp(float(np.abs(a.ravel("K").view(np.float64)).max()))[1], -1021))
+                a = a.copy(order="K")
+                a *= s
+                want.append((s, float(np.linalg.norm(a)), a.tobytes(order="A")))
+            scales, norms = _scaled(stack)
+            got = [(float(s), float(norm), a.tobytes(order="A")) for s, norm, a in zip(scales, norms, stack)]
+            assert got == want, trial
 
     def test_every_finite_side_gets_a_finite_tolerance(self):
         # ||t||_F = 2.4e308 is beyond the float range; 1e-8 * (1 + ||t||_F) is not.

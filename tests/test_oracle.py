@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,38 @@ class TestScalarOracles:
         assert classify_cartesian(0.5, -0.5j) is IdealClass.IN_I2  # e2
         assert classify_cartesian(0.0, 0.0) is IdealClass.ZERO
         assert classify_cartesian(1.0, 0.0) is IdealClass.NONSINGULAR
+
+    @pytest.mark.parametrize("magnitude", [1e78, 1e200, 1e300])
+    def test_classify_cartesian_at_large_magnitudes(self, magnitude):
+        # past ~1.2e77 q*q - s*s was inf - inf = NaN, and past ~1.3e154 abs(z1) ** 2 raised OverflowError
+        from bcspec import IdealClass
+
+        seen = set()
+        for minus, plus in [(1.1, 0.9), (2.0, 0.0), (0.0, 2.0), (1.0, 1e-12), (1e-12, 1.0), (1.0, 1e-9j), (0.5j, -1.0)]:
+            x = Bicomplex(minus * magnitude, plus * magnitude)
+            z1, z2 = x.to_cartesian()
+            for tol in (1e-10, 1e-6, 1e300):
+                seen.add(classify_cartesian(z1, z2, tol))
+                assert classify_cartesian(z1, z2, tol) is x.classify(tol), (minus, plus, tol)
+        assert seen == set(IdealClass)
+        assert classify_cartesian(1e78, 5e77) is Bicomplex.from_cartesian(1e78, 5e77).classify() is IdealClass.NONSINGULAR
+
+    def test_classify_cartesian_scales_exactly(self):
+        # past the limit the parts are scaled by a power of two, so a scalar gets the verdict it gets
+        # unscaled at 2**100, where max(b, 1) = b too; plus sits within a factor 1.2 of the threshold
+        from bcspec import IdealClass
+
+        verdicts = set()
+        for trial in range(200):
+            gen = Rng(15, (trial,)).generator()
+            minus = complex(gen.standard_normal(), gen.standard_normal())
+            plus = minus * 1e-3 * 1.2 ** gen.uniform(-1.0, 1.0) * 1j
+            z1, z2 = Bicomplex(minus, plus).to_cartesian()
+            at = {k: classify_cartesian(*(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in (z1, z2)), 1e-3)
+                  for k in (100, 260, 600, 1000)}
+            assert len(set(at.values())) == 1, (trial, at)
+            verdicts.add(at[100])
+        assert verdicts == {IdealClass.IN_I1, IdealClass.NONSINGULAR}
 
     def test_random_scalar_deterministic(self):
         assert random_scalar(Rng(9, (1,))) == random_scalar(Rng(9, (1,)))

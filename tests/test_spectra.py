@@ -9,8 +9,10 @@ from bcspec import (
     Bicomplex,
     BicomplexOperator,
     BicomplexVector,
+    DimensionMismatchError,
     EigenSet,
     ModifiedCase,
+    NonSquareError,
     NotModifiedEigenvalueError,
     VectorClass,
     classify_vector,
@@ -24,6 +26,7 @@ from bcspec import (
 )
 import bcspec.linalg
 import bcspec.spectra
+from bcspec.spectra import stacked_spectra
 from bcspec.oracle import (
     PROFILES,
     Rng,
@@ -145,6 +148,25 @@ class TestOneCallPerOperator:
     def test_stacked_singularity_is_the_per_side_verdict(self, op):
         assert is_singular_operator(op) == (is_singular_matrix(op.t1) or is_singular_matrix(op.t2))
         assert is_singular_matrix(np.stack([op.t1, op.t2])) == [is_singular_matrix(op.t1), is_singular_matrix(op.t2)]
+
+    def test_stacked_spectra_of_many_operators_are_each_alone(self):
+        # every stack case of one size in one eig: scales 2**1000 apart, top-of-range and singular sides
+        by_size = {}
+        for op in _STACKS:
+            by_size.setdefault(op.n, []).append(op)
+        assert max(map(len, by_size.values())) > 4
+        for ops in by_size.values():
+            for op, report in zip(ops, stacked_spectra(ops)):
+                alone = component_spectra(op)
+                assert report.op is op
+                assert (_bits(report.upsilon1), _bits(report.upsilon2)) == (_bits(alone.upsilon1), _bits(alone.upsilon2))
+
+    def test_a_stack_takes_square_operators_of_one_size(self, ex_op):
+        assert stacked_spectra([]) == []
+        with pytest.raises(DimensionMismatchError):
+            stacked_spectra([ex_op, BicomplexOperator.zero(3)])
+        with pytest.raises(NonSquareError):
+            stacked_spectra([ex_op, BicomplexOperator(np.ones((2, 3)), np.ones((2, 3)))])
 
     def test_a_stack_is_scaled_in_a_copy(self):
         t = np.array([[[1e300, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1e-300]]], dtype=complex)

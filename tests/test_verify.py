@@ -11,10 +11,20 @@ import bcspec.spectra
 import bcspec.verify
 from bcspec.cli import main
 from bcspec.core import DEFAULT_TOL, Bicomplex
-from bcspec.linalg import DEFAULT_CLUSTER_TOL, is_singular_matrix
+from bcspec.linalg import DEFAULT_CLUSTER_TOL, eigenvalues, is_singular_matrix
 from bcspec.operators import is_singular_operator, shift
-from bcspec.oracle import PROFILES, Rng, random_operator
-from bcspec.verify import MAX_WITNESSES, SUITES, _raw_cylinder, _shifted_singular, run_sum_search, run_verify
+from bcspec.oracle import PROFILES, Rng, random_operator, random_operators
+from bcspec.spectra import component_spectra, stacked_spectra
+from bcspec.verify import (
+    MAX_WITNESSES,
+    SUITES,
+    _analyses,
+    _blocks,
+    _raw_cylinder,
+    _shifted_singular,
+    run_sum_search,
+    run_verify,
+)
 
 #: The suites whose shifted-rank tests go through one stacked is_singular_matrix call per trial.
 STACKED_SUITES = ("shift_singularity", "eigenvalue_criterion", "modified_criterion")
@@ -176,3 +186,92 @@ def test_one_stacked_rank_test_per_trial(monkeypatch):
     monkeypatch.setattr(bcspec.verify, "is_singular_matrix", spy)
     assert run_verify(seed=7, trials=6).passed
     assert calls == {name: 6 for name in STACKED_SUITES}
+
+
+def _bits(planted, report) -> list[bytes]:
+    """Every byte of a (planted, report) pair: both sides, the planted truth, and each side's values, tol and kept vectors."""
+    out = [planted.operator.t1.tobytes(), planted.operator.t2.tobytes()]
+    out.append(repr((planted.profile, planted.shared_eigenvalue, planted.defective_side, planted.defective_eigenvalue)).encode())
+    for es in (report.upsilon1, report.upsilon2):
+        out.append(np.array(list(es.values), dtype=[("v", "<c16"), ("m", "<i8")]).tobytes() + np.float64(es.tol).tobytes())
+        out += [b"-" if v is None else v.tobytes() for v in es.vectors]
+    return out
+
+
+def _alone(rng, n, profile):
+    planted = random_operator(rng.child(0), n, profile)
+    return planted, component_spectra(planted.operator)
+
+
+@pytest.mark.parametrize("seed", [3, 20240901])
+@pytest.mark.parametrize("sizes", [range(1, 7), range(7, 10)])
+def test_stacked_build_and_analysis_change_no_bits(seed, sizes):
+    for profile in PROFILES:
+        for n in sizes:
+            rngs = [Rng(seed, (PROFILES.index(profile), n, trial)) for trial in range(5)]
+            planted = random_operators([rng.child(0) for rng in rngs], n, profile)
+            reports = stacked_spectra([p.operator for p in planted])
+            for rng, pair in zip(rngs, zip(planted, reports)):
+                assert _bits(*pair) == _bits(*_alone(rng, n, profile)), (profile, n)
+
+
+@pytest.mark.parametrize("caps", [None, (3, 60)])
+def test_verify_route_changes_no_bits(monkeypatch, caps):
+    # the runner's route, blocks and (n, profile) groups included, at the default caps and at tiny ones
+    if caps:
+        monkeypatch.setattr(bcspec.verify, "_BLOCK_TRIALS", caps[0])
+        monkeypatch.setattr(bcspec.verify, "_BLOCK_ENTRIES", caps[1])
+    rngs = [Rng(11, (4, trial)) for trial in range(40)]
+    sizes = [1 + trial % 9 for trial in range(40)]
+    profiles = [PROFILES[trial % 4] for trial in range(40)]
+    got = list(_analyses(rngs, sizes, profiles, DEFAULT_CLUSTER_TOL))
+    assert len(got) == 40
+    for rng, n, profile, pair in zip(rngs, sizes, profiles, got):
+        assert _bits(*pair) == _bits(*_alone(rng, n, profile)), (n, profile)
+
+
+def test_one_stacked_analysis_per_block_size_and_profile(monkeypatch):
+    stacks = []
+
+    def spy(ops, cluster_tol=DEFAULT_CLUSTER_TOL):
+        stacks.append((len(ops), ops[0].n))
+        return stacked_spectra(ops, cluster_tol)
+
+    monkeypatch.setattr(bcspec.verify, "stacked_spectra", spy)
+    assert run_verify(seed=7, trials=12).passed
+    # 10 suites analyse an operator per trial; over 12 trials at n = 1..6 each meets 6 (n, profile) groups of 2
+    # (profiles cycle with period 1 or 3, which divides 6)
+    assert Counter(stacks) == {(2, n): 10 for n in range(1, 7)}
+
+
+def test_blocks_respect_both_caps(monkeypatch):
+    monkeypatch.setattr(bcspec.verify, "_BLOCK_ENTRIES", 50)
+    sizes = [1, 2, 3, 6, 1, 1, 4, 4]
+    # entries 2, 8, 18, 72, 2, 2, 32, 32: a trial over the cap stands alone
+    assert list(_blocks(sizes)) == [range(0, 3), range(3, 4), range(4, 7), range(7, 8)]
+    monkeypatch.setattr(bcspec.verify, "_BLOCK_TRIALS", 2)
+    assert list(_blocks(sizes)) == [range(0, 2), range(2, 3), range(3, 4), range(4, 6), range(6, 7), range(7, 8)]
+    assert list(_blocks([])) == []
+
+
+@pytest.mark.parametrize("n, trials, stacks", [(100, 30, 3), (1, 257, 2)])
+def test_largest_stack_stays_under_the_caps(monkeypatch, n, trials, stacks):
+    # only existence runs; at n = 100 its 2 n**2 = 20,000 entries a trial fit 13 to a block, at n = 1 the trial cap binds
+    seen = []
+
+    def spy(a, cluster_tol=DEFAULT_CLUSTER_TOL):
+        seen.append((len(a), sum(np.size(t) for t in a)))
+        return eigenvalues(a, cluster_tol)
+
+    monkeypatch.setattr(bcspec.spectra, "eigenvalues", spy)
+    monkeypatch.setattr(bcspec.verify, "SUITES", [s for s in SUITES if s[0] == "existence"])
+    assert run_verify(seed=3, trials=trials, n_min=n, n_max=n).passed
+    assert len(seen) == stacks
+    assert max(entries for _, entries in seen) <= bcspec.verify._BLOCK_ENTRIES
+    assert max(count for count, _ in seen) <= 2 * bcspec.verify._BLOCK_TRIALS
+
+
+def test_huge_tolerance_reports_instead_of_overflowing(capsys):
+    # classify_cartesian once squared components near 1e300 and raised OverflowError (exit 2)
+    assert main(["verify", "--trials", "2", "--tol", "1e300"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["trials"] == 2
