@@ -32,7 +32,7 @@ from .errors import BcspecError, ConvergenceError, NonFiniteValueError, NotModif
 from .linalg import DEFAULT_CLUSTER_TOL, is_singular_matrix
 from .operators import classify_vector
 from .spectra import ModifiedCase, component_spectra, eigenspace_sum, modified_eigenspace
-from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_sum_search, run_verify
+from .verify import DEFAULT_N_MAX, DEFAULT_N_MIN, DEFAULT_SEED, DEFAULT_TRIALS, SEARCH_N_MAX, SEARCH_N_MIN, run_sum_search, run_verify
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -252,7 +252,7 @@ def _cmd_verify(args, report: dict) -> int:
 
 #: The flags only `explore-sum --search` reads, with the values it uses when they are not given.
 #: Every explore-sum mode flag parses with default argparse.SUPPRESS, so one given is a key of vars(args).
-_SEARCH_DEFAULTS = {"seed": DEFAULT_SEED, "trials": 100, "n_min": 2, "n_max": 4}
+_SEARCH_DEFAULTS = {"seed": DEFAULT_SEED, "trials": 100, "n_min": SEARCH_N_MIN, "n_max": SEARCH_N_MAX}
 
 
 def _sum_dims(result) -> dict:
@@ -348,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, needs_input=False)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-min", type=int, default=DEFAULT_N_MIN)
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("explore-sum", help="directness of the sum of two modified eigenspaces")

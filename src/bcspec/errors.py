@@ -25,10 +25,6 @@ class ConvergenceError(BcspecError):
     """The eigenvalue iteration exhausted its sweep budget without deflating."""
 
 
-class ZeroVectorError(BcspecError):
-    """A nonzero vector was required."""
-
-
 class NotModifiedEigenvalueError(BcspecError):
     """The given bicomplex scalar is not a modified eigenvalue of the operator."""
 

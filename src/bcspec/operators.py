@@ -46,10 +46,6 @@ class BicomplexVector:
     def __post_init__(self):
         self.minus, self.plus = _component_pair(self.minus, self.plus, ndim=1)
 
-    @classmethod
-    def zero(cls, n: int) -> "BicomplexVector":
-        return cls(np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128))
-
     @property
     def n(self) -> int:
         return self.minus.shape[0]
@@ -125,16 +121,6 @@ class BicomplexOperator:
 
     def __post_init__(self):
         self.t1, self.t2 = _component_pair(self.t1, self.t2)
-
-    @classmethod
-    def identity(cls, n: int) -> "BicomplexOperator":
-        eye = np.eye(n, dtype=np.complex128)
-        return cls(eye, eye.copy())
-
-    @classmethod
-    def zero(cls, n: int, m: int | None = None) -> "BicomplexOperator":
-        m = n if m is None else m
-        return cls(np.zeros((m, n), dtype=np.complex128), np.zeros((m, n), dtype=np.complex128))
 
     @property
     def shape(self) -> tuple[int, int]:

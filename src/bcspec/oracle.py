@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, Bicomplex, IdealClass
-from .errors import ZeroVectorError
 from .operators import BicomplexOperator, BicomplexVector
 
 
@@ -47,10 +46,7 @@ class Rng:
 
 def complex_normal(gen: np.random.Generator, size=None) -> np.ndarray | complex:
     """Standard complex Gaussian samples (unit variance)."""
-    z = gen.standard_normal(size) + 1j * gen.standard_normal(size)
-    if size is None:
-        return complex(z) / math.sqrt(2.0)
-    return z / math.sqrt(2.0)
+    return (gen.standard_normal(size) + 1j * gen.standard_normal(size)) / math.sqrt(2.0)
 
 
 # -- scalar oracles -----------------------------------------------------
@@ -117,8 +113,6 @@ def block_embed(op: BicomplexOperator) -> np.ndarray:
 
 def residual(op: BicomplexOperator, kappa, v: BicomplexVector) -> float:
     """||T v - kappa v|| in the Euclidean norm of the concatenated components."""
-    if v.is_exact_zero():
-        raise ZeroVectorError("residual is undefined on the zero vector")
     if not isinstance(kappa, Bicomplex):
         kappa = Bicomplex.from_complex(kappa)
     return math.hypot(
@@ -165,35 +159,17 @@ def elimination_nullspace(a, threshold: float) -> np.ndarray:
     return basis
 
 
-def _gram_schmidt(columns: np.ndarray) -> np.ndarray:
-    """Local modified Gram-Schmidt; the primary path's SVD and QR stay out of the oracle."""
-    n, k = columns.shape
-    out = np.zeros((n, k), dtype=np.complex128)
-    kept = 0
-    work = columns.astype(np.complex128, copy=True)
-    for j in range(k):
-        v = work[:, j]
-        for i in range(kept):
-            v = v - (out[:, i].conj() @ v) * out[:, i]
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            out[:, kept] = v / norm
-            kept += 1
-    return out[:, :kept]
-
-
 def brute_modified_eigenspace(
     op: BicomplexOperator, kappa: Bicomplex, tol: float = 1e-8
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of the shifted block embedding, in C1^(2n).
 
     Its dimension must equal the componentwise (structure) dimension of the
-    modified eigenspace of kappa.
+    modified eigenspace of kappa.  The elimination basis has independent
+    columns, so the unitary factor of its QR keeps every one.
     """
     block = block_embed(op) - np.diag(np.repeat([kappa.minus, kappa.plus], op.n))
-    threshold = tol * (1.0 + np.linalg.norm(block))
-    raw = elimination_nullspace(block, threshold)
-    return _gram_schmidt(raw)
+    return np.linalg.qr(elimination_nullspace(block, tol * (1.0 + np.linalg.norm(block))))[0]
 
 
 # -- random instances with planted structure ----------------------------

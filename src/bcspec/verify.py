@@ -12,6 +12,20 @@ Each trial draws its operator from its own Rng(seed, (suite, trial)).child(0),
 so replay keys are unchanged; the runner then builds and analyses the
 operators of a block of trials one stack per (n, profile) (see _analyses)
 and hands each trial its (planted, report).
+
+Every threshold of the primary rules and oracle routes, and where it is computed (A is m x n,
+||.|| the Frobenius norm, b the larger |z^±|, B = diag(t1, t2), B_kappa = B - diag(kappa^- I, kappa^+ I)):
+
+  scalar part zero       |z^±| <= tol * max(|z^-|, |z^+|, 1)              core._moduli
+  rank: sigma counts     sigma > tol * max(||A||, 1) * max(m, n)          linalg._svd
+  cluster merge, member  |a - b| <= cluster_tol * (1 + ||A||)             linalg.eigenvalues
+  cartesian singular     |z1^2 + z2^2| <= tol * max(b, 1) * b             oracle.classify_cartesian
+  block eigenspace       pivot <= cluster_tol * (1 + ||B_kappa||)         oracle.brute_modified_eigenspace
+  elimination singular   pivot <= tol * max(||A||, 1) * max(m, n)         _singular_by_elimination
+  raw cylinder           |kappa^± - lambda| <= cluster_tol * (1 + ||t||)  _raw_cylinder
+  residual bound         cluster_tol * (1 + ||t1|| + ||t2||)              _residual_bound
+  block kernel           pivot <= tol * (1 + ||B||) * max(2m, 2n)         _suite_kernel_image
+  block spectrum         |mu - lambda| <= cluster_tol * (1 + ||B||)       _suite_block_spectrum
 """
 
 from __future__ import annotations
@@ -61,6 +75,9 @@ from .errors import InvalidArgumentError
 
 DEFAULT_SEED = 20240901
 DEFAULT_TRIALS = 500
+#: The sizes n_min..n_max run_verify cycles through by default, and those run_sum_search draws.
+DEFAULT_N_MIN, DEFAULT_N_MAX = 1, 6
+SEARCH_N_MIN, SEARCH_N_MAX = 2, 4
 #: Failure messages kept per suite in a verify report.
 MAX_MESSAGES = 5
 #: Non-direct witnesses kept in a sum-search report.
@@ -136,12 +153,9 @@ def _shifted_singular(op: BicomplexOperator, kappas, tol: float) -> list[bool]:
 
 
 def _raw_cylinder(op: BicomplexOperator, cluster_tol: float, kappas: list[Bicomplex]) -> list[bool]:
-    """Membership of each kappa in the modified spectrum by an independent route.
+    """Membership of each kappa in the modified spectrum, kappa^- near a raw (unclustered) eigenvalue of t1 or kappa^+ of t2.
 
-    kappa is on the cylinder when kappa^- lies near a raw (unclustered)
-    eigenvalue of t1 or kappa^+ near one of t2, within a verify-local
-    cluster_tol * (1 + ||t||_F); no EigenSet is involved.  One broadcast
-    per side answers every kappa.
+    No EigenSet is involved; one broadcast per side answers every kappa.
     """
     near = [
         np.abs(np.linalg.eigvals(t) - np.array(z)[:, None]).min(axis=1) <= cluster_tol * (1.0 + np.linalg.norm(t))
@@ -547,8 +561,8 @@ def _suite_similarity_invariance(check, rng, n, tol, cluster_tol, planted, repor
 def run_verify(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    n_min: int = 1,
-    n_max: int = 6,
+    n_min: int = DEFAULT_N_MIN,
+    n_max: int = DEFAULT_N_MAX,
     tol: float = DEFAULT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> VerifyReport:
@@ -600,8 +614,8 @@ class SumSearchReport:
 def run_sum_search(
     seed: int,
     trials: int,
-    n_min: int = 2,
-    n_max: int = 4,
+    n_min: int = SEARCH_N_MIN,
+    n_max: int = SEARCH_N_MAX,
     operator: BicomplexOperator | None = None,
     tol: float = DEFAULT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,

@@ -7,6 +7,7 @@ from pathlib import Path
 import bcspec
 import bcspec.errors
 import bcspec.linalg
+import bcspec.oracle
 import bcspec.spectra
 import bcspec.verify
 from bcspec import Bicomplex, BicomplexVector, EigenSet, ModifiedCase
@@ -48,6 +49,11 @@ def test_unused_api_stays_deleted():
     # verify writes its residual bound out; the one-sided flag is `case is not ModifiedCase.BOTH`
     assert not hasattr(bcspec.BicomplexOperator, "scale_norm")
     assert not hasattr(bcspec.spectra.ModifiedEigenspace, "all_eigenvectors_singular")
+    # the oracle orthonormalizes by QR; residual takes any vector; operators and vectors are built from their arrays
+    assert not hasattr(bcspec.oracle, "_gram_schmidt")
+    assert not hasattr(bcspec.errors, "ZeroVectorError") and "ZeroVectorError" not in bcspec.__all__
+    assert not {"identity", "zero"} & set(dir(bcspec.BicomplexOperator))
+    assert not hasattr(BicomplexVector, "zero")
 
 
 def test_readme_python_example_runs(ex_op):

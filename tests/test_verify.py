@@ -1,5 +1,6 @@
 """The suite runner itself: coverage, determinism, sensitivity."""
 
+import importlib
 import json
 import sys
 from collections import Counter
@@ -28,6 +29,14 @@ from bcspec.verify import (
 
 #: The suites whose shifted-rank tests go through one stacked is_singular_matrix call per trial.
 STACKED_SUITES = ("shift_singularity", "eigenvalue_criterion", "modified_criterion")
+
+
+def test_threshold_table_names_where_each_is_computed():
+    rows = [line.split()[-1] for line in bcspec.verify.__doc__.splitlines() if line.startswith("  ")]
+    assert len(rows) == 10
+    for place in rows:
+        module, _, name = place.rpartition(".")
+        assert hasattr(importlib.import_module(f"bcspec.{module or 'verify'}"), name), place
 
 
 def test_at_least_ten_named_suites():
