@@ -5,16 +5,17 @@ Subcommands
 decompose    idempotent/cartesian/real forms, singularity class, inverse
 spectrum     component spectra, their union, and the modified-spectrum shape
 modified     modified-eigenvalue verdict, case, and constructive basis
-eigenspace   eigenspace of a complex eigenvalue (or of a bicomplex kappa)
+eigenspace   eigenspace of a complex eigenvalue lam, as modified at lam e1 + lam e2
 verify       randomized suites pitting every structural statement against oracles
 explore-sum  sum/intersection dimensions of two modified eigenspaces
 
-Inputs are JSON files or inline JSON; every report embeds the tolerances and
-seed it used, and identical invocations produce byte-identical output at a
-fixed BLAS thread count (perfbench pins one; the golden corpus uses exact
-integer operators).  Exit codes: 0 success/verdict, 1 suite failure, 2
-parse/validation error (bad arguments, numbers too large for float arithmetic
-and a report that cannot be written included), 3 numerical non-convergence.
+Inputs are JSON files or inline JSON; every tolerance and seed comes from
+argv and is embedded in the report, and identical invocations produce
+byte-identical output at a fixed BLAS thread count (perfbench pins one; the
+golden corpus uses exact integer operators).  Exit codes: 0 success/verdict,
+1 suite failure, 2 parse/validation error (bad arguments, numbers too large
+for float arithmetic and a report that cannot be written included), 3
+numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -38,18 +38,6 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("BCSPEC_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ParseError(f"BCSPEC_TOL is not a number: {raw!r}") from exc
-    _check_tolerance("BCSPEC_TOL", value)
-    return value
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -180,13 +168,11 @@ def _cmd_spectrum(args, report: dict) -> int:
 
 
 def _cmd_space(args, report: dict) -> int:
-    """`modified --kappa K` and `eigenspace --kappa K | --lam L`; --lam L asks about kappa = L e1 + L e2.
+    """`modified --kappa K` and `eigenspace --lam L`, which asks about kappa = L e1 + L e2 and adds two keys.
 
     Every argument is parsed before the eigensolve, so a malformed one is
     refused first.
     """
-    if (args.kappa is None) == (args.lam is None):
-        raise ParseError("eigenspace: provide exactly one of --kappa or --lam")
     op = jsonio.parse_operator(_load_input(args.input))
     if args.lam is not None:
         lam = jsonio.parse_complex(jsonio.loads(args.lam), "lam")
@@ -311,7 +297,7 @@ def _cmd_explore_sum(args, report: dict) -> int:
 def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True, spectral: bool = True):
     if needs_input:
         parser.add_argument("--input", required=True, help="path to a JSON file, or inline JSON")
-    parser.add_argument("--tol", type=float, default=None, help="singularity tolerance (default 1e-10, env BCSPEC_TOL)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="singularity tolerance (default 1e-10)")
     if spectral:
         parser.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL, help="eigenvalue clustering tolerance (default 1e-8)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
@@ -338,10 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True, help="bicomplex scalar as JSON (idem/cart/real)")
     p.set_defaults(fn=_cmd_space, lam=None)
 
-    p = sub.add_parser("eigenspace", help="eigenspace of an eigenvalue (or of a bicomplex kappa)")
+    p = sub.add_parser("eigenspace", help="eigenspace of an eigenvalue")
     _add_common(p)
-    p.add_argument("--kappa", default=None, help="bicomplex scalar as JSON")
-    p.add_argument("--lam", default=None, help="complex eigenvalue as [re, im]")
+    p.add_argument("--lam", required=True, help="complex eigenvalue as [re, im]")
     p.set_defaults(fn=_cmd_space)
 
     p = sub.add_parser("verify", help="run the randomized oracle suites")
@@ -369,8 +354,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is None:
-            args.tol = _default_tol()
         _check_tolerance("--tol", args.tol)
         report: dict = {"command": args.command, "tol": args.tol}
         if hasattr(args, "cluster_tol"):

@@ -486,7 +486,10 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol, planted, report
             space.dim == brute.shape[1],
             "structure dim {} != block dim {} at {} ({})", space.dim, brute.shape[1], kappa, planted.profile,
         )
-        check(space.max_residual(op) <= bound, "residual above {} at {}", bound, kappa)
+        worst = space.max_residual(op)
+        oracle_worst = max((residual_norm(op, kappa, v) for v in space.assembled), default=0.0)
+        check(worst == oracle_worst, "max_residual {} != oracle residual {} at {}", worst, oracle_worst, kappa)
+        check(worst <= bound, "residual above {} at {}", bound, kappa)
         if space.case is not ModifiedCase.BOTH:
             for v in space.assembled:
                 check(
@@ -526,11 +529,10 @@ def _suite_block_spectrum(check, rng, n, tol, cluster_tol, planted, report):
     op = report.op
     block = block_embed(op)
     block_eigs = list(np.linalg.eigvals(block))
-    expected = report.upsilon1.multiset() + report.upsilon2.multiset()
     tol_abs = cluster_tol * (1.0 + np.linalg.norm(block))
     check(
-        _match_multisets([complex(z) for z in block_eigs], expected, tol_abs),
-        "block spectrum is not the disjoint union of the component spectra ({})", planted.profile,
+        _match_multisets([complex(z) for z in block_eigs], report.eigenvalues_of_T.multiset(), tol_abs),
+        "block spectrum is not the union eigenvalues_of_T of the component spectra ({})", planted.profile,
     )
 
 
@@ -566,9 +568,14 @@ def run_verify(
     tol: float = DEFAULT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> VerifyReport:
-    """Run every suite for `trials` seeded trials with n cycling n_min..n_max."""
+    """Run every suite for `trials` seeded trials with n cycling n_min..n_max, at a tol with tol * n_max < 1."""
     _check_run(seed, trials)
     _check_sizes(n_min, n_max)
+    if tol * n_max >= 1:
+        raise InvalidArgumentError(
+            f"need tol * n_max < 1, got {tol!r} * {n_max}: the rank rule sigma <= tol * max(||A||_F, 1) * n"
+            " calls every n x n matrix singular once tol * n >= 1"
+        )
     sizes = [n_min + trial % (n_max - n_min + 1) for trial in range(trials)]
     results = []
     for suite_index, (name, statement, fn) in enumerate(SUITES):

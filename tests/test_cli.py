@@ -50,6 +50,19 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _top_level_keys(out: str, fmt: str) -> dict:
+    """A report's top-level keys, each with its JSON value or its text lines."""
+    if fmt == "json":
+        return json.loads(out)
+    keys: dict = {}
+    for line in out.splitlines():
+        if not line.startswith(" "):
+            key = line.split(":", 1)[0]
+            keys[key] = []
+        keys[key].append(line)
+    return keys
+
+
 class TestDecompose:
     def test_scalar_e1(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--input", '{"cart":[0.5,0,0,0.5]}')
@@ -336,15 +349,6 @@ class TestEigenspace:
         assert report["is_eigenvalue"] is True
         assert report["dimension"] == 3
 
-    def test_kappa_form(self, capsys, op_file):
-        code, out, _ = run_cli(
-            capsys, "eigenspace", "--input", op_file, "--kappa", '{"idem":[0,0,1,0]}'
-        )
-        report = json.loads(out)
-        assert code == 0
-        assert report["case"] == "Both"
-        assert report["dimension"] == 3
-
     def test_non_eigenvalue_is_a_verdict(self, capsys, op_file):
         code, out, _ = run_cli(capsys, "eigenspace", "--input", op_file, "--lam", "[4,0]")
         report = json.loads(out)
@@ -354,30 +358,28 @@ class TestEigenspace:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("name", ["worked_example", "diagonal3"])
-    @pytest.mark.parametrize(
-        "kappa",
-        ['{"idem":[1,0,2,0]}', '{"idem":[9,0,1,0]}', '{"idem":[1,0,1,0]}', '{"idem":[7,0,9,0]}'],
-        ids=["only-minus", "only-plus", "both", "non-member"],
-    )
-    def test_kappa_form_is_the_modified_report(self, capsys, fmt, name, kappa):
-        argv = ["--input", str(GOLDEN_INPUTS / f"{name}.json"), "--kappa", kappa, "--format", fmt]
+    @pytest.mark.parametrize("lam", [0, 1, 4])
+    def test_lam_form_is_the_modified_report(self, capsys, fmt, name, lam):
+        # eigenspace --lam L is modified --kappa at L e1 + L e2, plus two keys
+        argv = ["--input", str(GOLDEN_INPUTS / f"{name}.json"), "--format", fmt]
+        selectors = {"modified": ["--kappa", f'{{"idem":[{lam},0,{lam},0]}}'], "eigenspace": ["--lam", f"[{lam},0]"]}
         reports = {}
-        for command in ("modified", "eigenspace"):
-            code, out, err = run_cli(capsys, command, *argv)
+        for command, selector in selectors.items():
+            code, out, err = run_cli(capsys, command, *argv, *selector)
             assert (code, err) == (0, "")
-            lines = out.splitlines()
-            header = [line for line in lines if line.strip().startswith(('"command":', "command:"))]
-            assert len(header) == 1 and command in header[0]
-            reports[command] = [line for line in lines if line not in header]
-        assert reports["modified"] == reports["eigenspace"]
+            reports[command] = _top_level_keys(out, fmt)
+        modified, eigenspace = reports["modified"], reports["eigenspace"]
+        assert eigenspace.keys() - modified.keys() == {"eigenvalue", "is_eigenvalue"}
+        assert modified.keys() <= eigenspace.keys()
+        assert eigenspace["command"] != modified["command"]
+        assert all(eigenspace[key] == modified[key] for key in modified.keys() - {"command"})
 
-    def test_requires_exactly_one_selector(self, capsys, op_file):
-        code, _, err = run_cli(capsys, "eigenspace", "--input", op_file)
-        assert code == 2 and "exactly one" in err
-        code, _, _ = run_cli(
-            capsys, "eigenspace", "--input", op_file, "--lam", "[1,0]", "--kappa", '{"idem":[1,0,1,0]}'
-        )
-        assert code == 2
+    @pytest.mark.parametrize("selectors", [[], ["--lam", "[1,0]"]], ids=["kappa-alone", "kappa-with-lam"])
+    def test_kappa_is_refused(self, capsys, op_file, selectors):
+        # the kappa question is modified's: eigenspace has no --kappa
+        with pytest.raises(SystemExit) as exc:
+            main(["eigenspace", "--input", op_file, "--kappa", '{"idem":[1,0,1,0]}', *selectors])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 class TestVerify:
@@ -640,10 +642,9 @@ class TestErrorHandling:
         "argv, message",
         [
             (["modified", "--kappa", '{"idem":[1,0]}'], "kappa.idem: expected a list of 4 numbers, got [1, 0]"),
-            (["eigenspace", "--kappa", '{"idem":[1,0]}'], "kappa.idem: expected a list of 4 numbers, got [1, 0]"),
             (["eigenspace", "--lam", "[1,0,0]"], "lam: expected [re, im], got [1, 0, 0]"),
         ],
-        ids=["modified-kappa", "eigenspace-kappa", "eigenspace-lam"],
+        ids=["modified-kappa", "eigenspace-lam"],
     )
     def test_malformed_argument_is_refused_before_the_eigensolve(self, capsys, argv, message):
         # eig overflows on this operator; the malformed argument is the error reported
@@ -707,17 +708,14 @@ class TestErrorHandling:
         assert code == 2 and out == ""
         assert err.splitlines() == ["error: scalar: conversion to idempotent components overflows float range"]
 
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        # plus component at 1e-5: singular at tol 1e-4, invertible at 1e-10
-        monkeypatch.setenv("BCSPEC_TOL", "1e-4")
-        code, out, _ = run_cli(capsys, "decompose", "--input", '{"idem":[1,0,1e-5,0]}')
+    @pytest.mark.parametrize("value", ["1e-4", "bogus"])
+    def test_environment_sets_no_tolerance(self, capsys, monkeypatch, value):
+        # plus component at 1e-5: singular at tol 1e-4, invertible at the default 1e-10
+        monkeypatch.setenv("BCSPEC_TOL", value)
+        code, out, err = run_cli(capsys, "decompose", "--input", '{"idem":[1,0,1e-5,0]}')
         report = json.loads(out)
-        assert code == 0
-        assert report["tol"] == 1e-4
-        assert report["class"] == "InI1"
-        monkeypatch.setenv("BCSPEC_TOL", "bogus")
-        code, _, err = run_cli(capsys, "decompose", "--input", '{"idem":[1,0,1e-5,0]}')
-        assert code == 2 and "BCSPEC_TOL" in err
+        assert (code, err) == (0, "")
+        assert (report["tol"], report["class"]) == (1e-10, "NonSingular")
 
     @pytest.mark.parametrize(
         "argv",
@@ -730,6 +728,7 @@ class TestErrorHandling:
             ["explore-sum", "--search", "--n-min", "3", "--n-max", "2"],
             ["explore-sum", "--search", "--seed", "-1", "--trials", "1"],
             ["verify", "--trials", "0"],
+            ["verify", "--tol", "0.5", "--n-max", "2", "--trials", "1"],  # tol * n_max = 1 exactly
             ["explore-sum", "--search", "--trials", "0"],
             # each explore-sum mode refuses the flags only the other mode reads
             ["explore-sum", "--kappa", '{"idem":[1,0,2,0]}', "--kappa2", '{"idem":[1,0,3,0]}',
@@ -737,7 +736,7 @@ class TestErrorHandling:
             ["explore-sum", "--search", "--trials", "2", "--kappa", '{"idem":[1,0,2,0]}'],
         ],
         ids=["equal-kappas", "verify-n-min-0", "verify-empty-range", "verify-negative-seed",
-             "search-n-min-0", "search-empty-range", "search-negative-seed", "verify-no-trials",
+             "search-n-min-0", "search-empty-range", "search-negative-seed", "verify-no-trials", "verify-tol-at-bound",
              "search-no-trials", "explicit-with-search-flags", "search-with-kappa"],
     )
     def test_invalid_argument_exit_2(self, capsys, op_file, argv):
@@ -754,13 +753,6 @@ class TestErrorHandling:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag} must be finite and positive")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-    def test_env_tolerance_must_be_finite_and_positive(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("BCSPEC_TOL", value)
-        code, out, err = run_cli(capsys, "decompose", "--input", '{"idem":[1,0,2,0]}')
-        assert code == 2 and out == ""
-        assert err.startswith("error: BCSPEC_TOL must be finite and positive")
-
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize(
         "argv",
@@ -769,7 +761,6 @@ class TestErrorHandling:
             ["decompose", "--input", '{"idem":[1,0,2,0]}'],
             ["spectrum", "--input", "@"],
             ["modified", "--input", "@", "--kappa", '{"idem":[1,0,2,0]}'],
-            ["eigenspace", "--input", "@", "--kappa", '{"idem":[1,0,2,0]}'],
             ["eigenspace", "--input", "@", "--lam", "[1,0]"],
             ["verify", "--trials", "1", "--n-max", "2"],
             ["explore-sum", "--input", "@", "--kappa", '{"idem":[1,0,2,0]}', "--kappa2", '{"idem":[1,0,3,0]}'],
@@ -779,14 +770,13 @@ class TestErrorHandling:
     )
     @pytest.mark.parametrize("tol_from", ["flag", "env"])
     def test_every_report_carries_its_header(self, capsys, monkeypatch, op_file, argv, fmt, tol_from):
+        # BCSPEC_TOL names a tolerance that no command reads: tol is --tol's, or the default without it
+        monkeypatch.setenv("BCSPEC_TOL", "1e-7")
         argv = [op_file if a == "@" else a for a in argv] + ["--format", fmt]
         if argv[0] != "decompose":
             argv += ["--cluster-tol", "1e-6"]
         if tol_from == "flag":
-            monkeypatch.setenv("BCSPEC_TOL", "1e-7")
             argv += ["--tol", "1e-9"]
-        else:
-            monkeypatch.setenv("BCSPEC_TOL", "1e-9")
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         keys = ("command", "tol", "cluster_tol")
@@ -795,7 +785,7 @@ class TestErrorHandling:
         else:
             top = (line.split(": ", 1) for line in out.splitlines() if ": " in line and not line.startswith(" "))
             header = {key: value if key == "command" else json.loads(value) for key, value in top if key in keys}
-        expected = {"command": argv[0], "tol": 1e-9}
+        expected = {"command": argv[0], "tol": 1e-9 if tol_from == "flag" else 1e-10}
         if argv[0] != "decompose":
             expected["cluster_tol"] = 1e-6
         assert header == expected

@@ -111,11 +111,9 @@ def test_modified(op, kappa, flags):
 
 
 @FUZZ
-@given(operators(), st.one_of(st.none(), scalars), st.one_of(st.none(), entry), common)
-def test_eigenspace(op, kappa, lam, flags):
+@given(operators(), st.one_of(st.none(), entry), common)
+def test_eigenspace(op, lam, flags):
     argv = ["eigenspace", "--input", json.dumps(op), *flags]
-    if kappa is not None:
-        argv += ["--kappa", json.dumps(kappa)]
     if lam is not None:
         argv += ["--lam", json.dumps(lam)]
     _run(argv)
