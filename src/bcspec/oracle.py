@@ -124,52 +124,68 @@ def residual(op: BicomplexOperator, kappa, v: BicomplexVector) -> float:
 # -- independent elimination nullspace ----------------------------------
 
 
-def elimination_nullspace(a, threshold: float) -> np.ndarray:
+def elimination_nullspace(a, threshold):
     """Nullspace basis (columns) by Gauss-Jordan elimination with partial pivoting.
 
     Kept separate from the SVD rank route on purpose; pivots at or below
     the absolute threshold count as zero.  Each pivot clears its column from
-    the other rows with one rank-1 update of the whole matrix.
+    the other rows with one rank-1 update of the whole matrix.  A (k, m, n)
+    stack, with one threshold per matrix, gives the list of the k bases: the
+    stack is eliminated column by column, each matrix at its own pivot row,
+    so every matrix gets the basis it gets alone, bit for bit.
     """
     a = np.array(a, dtype=np.complex128)
-    m, n = a.shape
-    pivots: list[int] = []
-    row = 0
+    alone = a.ndim == 2
+    k, m, n = (a := a.reshape(-1, *a.shape[-2:])).shape
+    threshold = np.broadcast_to(np.asarray(threshold, dtype=float), (k,))
+    row = np.zeros(k, dtype=np.intp)
+    pivots = np.zeros((k, n), dtype=bool)
+    below = np.arange(m)
     for col in range(n):
-        if row >= m:
-            break
-        mags = np.abs(a[row:, col])
-        lead = int(mags.argmax())
-        if mags[lead] <= threshold:
-            continue
-        if lead:
-            a[[row, row + lead]] = a[[row + lead, row]]
-        a[row] /= a[row, col]
-        pivot = a[row].copy()
-        a -= np.multiply.outer(a[:, col], pivot)
-        a[row] = pivot
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((n, len(free)), dtype=np.complex128)
-    for k, f in enumerate(free):
-        basis[f, k] = 1.0
-        for i, p in enumerate(pivots):
-            basis[p, k] = -a[i, f]
-    return basis
+        mags = np.abs(a[:, :, col])
+        mags[below < row[:, None]] = -np.inf
+        live = pivots[:, col] = mags.max(axis=1) > threshold
+        lead = mags.argmax(axis=1)
+        sub, r = a, row
+        if not live.all():
+            live = np.flatnonzero(live)
+            if not live.size:
+                continue
+            sub, lead, r = a[live], lead[live], row[live]
+        at = np.arange(len(sub))
+        pivot = sub[at, lead]
+        sub[at, lead] = sub[at, r]
+        pivot = pivot / pivot[:, col, None]
+        sub -= sub[:, :, col, None] * pivot[:, None, :]
+        sub[at, r] = pivot
+        if sub is not a:
+            a[live] = sub
+        row += pivots[:, col]
+    bases = []
+    for j in range(k):
+        free = np.flatnonzero(~pivots[j])
+        basis = np.zeros((n, free.size), dtype=np.complex128)
+        basis[free, np.arange(free.size)] = 1.0
+        basis[pivots[j]] = -a[j, : row[j]][:, free]
+        bases.append(basis)
+    return bases[0] if alone else bases
 
 
-def brute_modified_eigenspace(
-    op: BicomplexOperator, kappa: Bicomplex, tol: float = 1e-8
-) -> np.ndarray:
+def shifted_block(op: BicomplexOperator, kappa: Bicomplex, tol: float = 1e-8) -> tuple[np.ndarray, float]:
+    """The shifted block embedding diag(t1 - kappa^- I, t2 - kappa^+ I) and its elimination threshold tol * (1 + ||block||)."""
+    block = block_embed(op)
+    block.flat[:: 2 * op.n + 1] -= np.repeat([kappa.minus, kappa.plus], op.n)
+    return block, tol * (1.0 + np.linalg.norm(block))
+
+
+def brute_modified_eigenspace(op: BicomplexOperator, kappa: Bicomplex, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of the shifted block embedding, in C1^(2n).
 
     Its dimension must equal the componentwise (structure) dimension of the
     modified eigenspace of kappa.  The elimination basis has independent
     columns, so the unitary factor of its QR keeps every one.
     """
-    block = block_embed(op) - np.diag(np.repeat([kappa.minus, kappa.plus], op.n))
-    return np.linalg.qr(elimination_nullspace(block, tol * (1.0 + np.linalg.norm(block))))[0]
+    return np.linalg.qr(elimination_nullspace(*shifted_block(op, kappa, tol)))[0]
 
 
 # -- random instances with planted structure ----------------------------
@@ -293,8 +309,3 @@ def random_operator(rng: Rng, n: int, profile: str = "generic") -> PlantedOperat
 def random_vector(rng: Rng, n: int) -> BicomplexVector:
     gen = rng.generator()
     return BicomplexVector(complex_normal(gen, n), complex_normal(gen, n))
-
-
-def random_scalar(rng: Rng, scale: float = 1.0) -> Bicomplex:
-    gen = rng.generator()
-    return Bicomplex(complex(complex_normal(gen)) * scale, complex(complex_normal(gen)) * scale)

@@ -11,7 +11,9 @@ operator per trial names the profiles it draws from (_suite's profiles).
 Each trial draws its operator from its own Rng(seed, (suite, trial)).child(0),
 so replay keys are unchanged; the runner then builds and analyses the
 operators of a block of trials one stack per (n, profile) (see _analyses)
-and hands each trial its (planted, report).
+and hands each trial its (planted, report).  A trial that asks the
+elimination oracle yields its (matrix, threshold) requests; each round of
+a block is answered by one stacked call per matrix shape (see _suite).
 
 Every threshold of the primary rules and oracle routes, and where it is computed (A is m x n,
 ||.|| the Frobenius norm, b the larger |z^±|, B = diag(t1, t2), B_kappa = B - diag(kappa^- I, kappa^+ I)):
@@ -20,7 +22,7 @@ Every threshold of the primary rules and oracle routes, and where it is computed
   rank: sigma counts     sigma > tol * max(||A||, 1) * max(m, n)          linalg._svd
   cluster merge, member  |a - b| <= cluster_tol * (1 + ||A||)             linalg.eigenvalues
   cartesian singular     |z1^2 + z2^2| <= tol * max(b, 1) * b             oracle.classify_cartesian
-  block eigenspace       pivot <= cluster_tol * (1 + ||B_kappa||)         oracle.brute_modified_eigenspace
+  block eigenspace       pivot <= cluster_tol * (1 + ||B_kappa||)         oracle.shifted_block
   elimination singular   pivot <= tol * max(||A||, 1) * max(m, n)         _singular_by_elimination
   raw cylinder           |kappa^± - lambda| <= cluster_tol * (1 + ||t||)  _raw_cylinder
   residual bound         cluster_tol * (1 + ||t1|| + ||t2||)              _residual_bound
@@ -31,6 +33,7 @@ Every threshold of the primary rules and oracle routes, and where it is computed
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -59,8 +62,8 @@ from .oracle import (
     elimination_nullspace,
     random_operator,
     random_operators,
-    random_scalar,
     random_vector,
+    shifted_block,
 )
 from .oracle import residual as residual_norm
 from .spectra import (
@@ -133,10 +136,10 @@ def _far_scalar(gen, *eigensets: EigenSet) -> complex:
     return c
 
 
-def _singular_by_elimination(a: np.ndarray, tol: float) -> bool:
-    """Singularity by Gauss-Jordan elimination, at the primary rank threshold."""
-    threshold = tol * max(np.linalg.norm(a), 1.0) * max(a.shape)
-    return elimination_nullspace(a, threshold).shape[1] > 0
+def _singular_by_elimination(matrices, tol: float):
+    """Singularity of each matrix by Gauss-Jordan elimination, at the primary rank threshold: one round of requests, for yield from."""
+    bases = yield [(a, tol * max(np.linalg.norm(a), 1.0) * max(a.shape)) for a in matrices]
+    return [basis.shape[1] > 0 for basis in bases]
 
 
 def _shifted_singular(op: BicomplexOperator, kappas, tol: float) -> list[bool]:
@@ -239,14 +242,41 @@ SUITES: list[tuple[str, str, object]] = []
 _PROFILES: dict[str, tuple[str, ...]] = {}
 
 
-def _suite(statement: str, profiles: tuple[str, ...] = ()):
-    """Register the decorated _suite_<name> function under <name> with the statement it checks.
+def _answer(requests: list[list[tuple[np.ndarray, float]]]) -> list[list[np.ndarray]]:
+    """The nullspace basis of each (matrix, threshold) request of each list, from one stacked elimination_nullspace call per matrix shape."""
+    flat = [request for asked in requests for request in asked]
+    bases = {}
+    for shape in dict.fromkeys(a.shape for a, _ in flat):
+        members = [i for i, (a, _) in enumerate(flat) if a.shape == shape]
+        bases.update(zip(members, elimination_nullspace(np.array([flat[i][0] for i in members]), [flat[i][1] for i in members])))
+    answers = (bases[i] for i in range(len(flat)))
+    return [[next(answers) for _ in asked] for asked in requests]
 
-    With profiles, fn also takes the trial's (planted, report) (see _analyses)."""
+
+def _suite(statement: str, profiles: tuple[str, ...] = ()):
+    """Register the decorated _suite_<name> function under <name> with the statement it checks, as a runner of a block of trials.
+
+    fn checks one trial; with profiles it also takes the trial's (planted,
+    report) (see _analyses).  A trial that asks the elimination oracle is a
+    generator that yields lists of (matrix, threshold) requests and is sent
+    their bases.  The runner drives a block's trials round by round and
+    answers each round of the block with _answer.
+    """
 
     def register(fn):
         name = fn.__name__.removeprefix("_suite_")
-        SUITES.append((name, statement, fn))
+
+        def run(checks, rngs, sizes, tol, cluster_tol, analysed):
+            trials = [fn(*args, tol, cluster_tol, *pair) for *args, pair in zip(checks, rngs, sizes, analysed)]
+            rounds = [(trial, None) for trial in trials if trial is not None]
+            while rounds:
+                asked = []
+                for trial, answer in rounds:
+                    with suppress(StopIteration):
+                        asked.append((trial, trial.send(answer)))
+                rounds = list(zip([trial for trial, _ in asked], _answer([requests for _, requests in asked])))
+
+        SUITES.append((name, statement, run))
         if profiles:
             _PROFILES[name] = profiles
         return fn
@@ -262,8 +292,7 @@ _SHARED = ("shared-eigenvalue",)
 def _suite_scalar_product_rule(check, rng, n, tol, cluster_tol):
     gen = rng.generator()
     scale = 10.0 ** gen.uniform(0.0, 3.0)
-    x = random_scalar(rng.child(1), scale)
-    y = random_scalar(rng.child(2), scale)
+    x, y = (Bicomplex(complex(minus), complex(plus)) for minus, plus in complex_normal(gen, (2, 2)) * scale)
     direct = x * y
     via_cart = cartesian_mul(x, y)
     mag = max(abs(x.minus), abs(x.plus)) * max(abs(y.minus), abs(y.plus))
@@ -278,13 +307,12 @@ def _suite_scalar_product_rule(check, rng, n, tol, cluster_tol):
 @_suite("x is singular iff x lies in I1 ∪ I2 iff |z1^2 + z2^2| vanishes")
 def _suite_scalar_singularity(check, rng, n, tol, cluster_tol):
     gen = rng.generator()
-    candidates = [random_scalar(rng.child(1), 1.0)]
-    base = random_scalar(rng.child(2), 1.0)
-    candidates.append(Bicomplex(base.minus, 0.0))          # exact member of I1
-    candidates.append(Bicomplex(0.0, base.plus))           # exact member of I2
+    offset = 10.0 ** gen.uniform(-2.0, 2.0)
+    first, base = (Bicomplex(complex(minus), complex(plus)) for minus, plus in complex_normal(gen, (2, 2)))
+    # a random scalar, and exact members of I1 and of I2
+    candidates = [first, Bicomplex(base.minus, 0.0), Bicomplex(0.0, base.plus)]
     # one component parked a controlled distance from the threshold
     big = base.minus if abs(base.minus) > 0 else 1.0 + 0j
-    offset = 10.0 ** gen.uniform(-2.0, 2.0)
     small = Bicomplex(big, 0.0).singular_threshold(tol) * offset
     candidates.append(Bicomplex(big, small))
     for x in candidates:
@@ -318,7 +346,7 @@ def _suite_kernel_image(check, rng, n, tol, cluster_tol):
     k1, k2 = kernel(op, tol)
     impl_dim = k1.shape[1] + k2.shape[1]
     block = block_embed(op)
-    brute = elimination_nullspace(block, tol * (1.0 + np.linalg.norm(block)) * max(block.shape))
+    (brute,) = yield [(block, tol * (1.0 + np.linalg.norm(block)) * max(block.shape))]
     check(
         impl_dim == brute.shape[1],
         "kernel dimension {} != block-elimination dimension {}", impl_dim, brute.shape[1],
@@ -339,7 +367,7 @@ def _suite_operator_singularity(check, rng, n, tol, cluster_tol):
     planted = random_operator(rng.child(0), n, profile)
     op = planted.operator
     singular = is_singular_operator(op, tol)
-    via_elimination = _singular_by_elimination(op.t1, tol) or _singular_by_elimination(op.t2, tol)
+    via_elimination = any((yield from _singular_by_elimination((op.t1, op.t2), tol)))
     k1, k2 = kernel(op, tol)
     via_kernel = (k1.shape[1] + k2.shape[1]) > 0
     check(
@@ -364,10 +392,10 @@ def _suite_shift_singularity(check, rng, n, tol, cluster_tol, planted, report):
     ]
     eye = np.eye(n, dtype=np.complex128)
     verdicts = _shifted_singular(op, [kappa for kappa, _ in cases], tol)
-    for (kappa, expected), whole in zip(cases, verdicts):
-        split = _singular_by_elimination(op.t1 - kappa.minus * eye, tol) or (
-            _singular_by_elimination(op.t2 - kappa.plus * eye, tol)
-        )
+    shifted = [t - z * eye for kappa, _ in cases for t, z in ((op.t1, kappa.minus), (op.t2, kappa.plus))]
+    sides = yield from _singular_by_elimination(shifted, tol)
+    for (kappa, expected), whole, minus, plus in zip(cases, verdicts, sides[::2], sides[1::2]):
+        split = minus or plus
         check(whole == split, "shifted verdict {} != elimination route {} at {}", whole, split, kappa)
         check(whole == expected, "shifted singularity wrong at {}: got {}", kappa, whole)
 
@@ -399,10 +427,11 @@ def _suite_modified_criterion(check, rng, n, tol, cluster_tol, planted, report):
         Bicomplex(report.upsilon1.value_list()[0], report.upsilon2.value_list()[0]),
         Bicomplex(far, far2),
     ]
-    routes = zip(kappas, _raw_cylinder(op, cluster_tol, kappas), _shifted_singular(op, kappas, tol))
-    for kappa, on_cylinder, singular in routes:
+    brutes = yield [shifted_block(op, kappa, cluster_tol) for kappa in kappas]
+    routes = zip(kappas, _raw_cylinder(op, cluster_tol, kappas), _shifted_singular(op, kappas, tol), brutes)
+    for kappa, on_cylinder, singular, brute in routes:
         verdict = report.classify_modified(kappa) is not None
-        brute_dim = brute_modified_eigenspace(op, kappa, cluster_tol).shape[1]
+        brute_dim = brute.shape[1]
         check(verdict == on_cylinder, "criterion vs membership split at {}", kappa)
         check(verdict == singular, "criterion vs shifted-singularity split at {}", kappa)
         check(
@@ -436,11 +465,8 @@ def _suite_infinite_family(check, rng, n, tol, cluster_tol, planted, report):
     members = [Bicomplex(base1, w) for w in samples] + [Bicomplex(w, base2) for w in samples]
     for kappa in members:
         check(report.classify_modified(kappa) is not None, "family member {} rejected", kappa)
-    probe = Bicomplex(base1, samples[1])
-    check(
-        brute_modified_eigenspace(op, probe, cluster_tol).shape[1] > 0,
-        "family member invisible to the block oracle",
-    )
+    (brute,) = yield [shifted_block(op, Bicomplex(base1, samples[1]), cluster_tol)]
+    check(brute.shape[1] > 0, "family member invisible to the block oracle")
     outside = _far_scalar(gen, report.upsilon1)
     check(not report.upsilon1.contains(outside), "far base {} counted as a member of Y1", outside)
 
@@ -455,8 +481,7 @@ def _suite_cylinder_structure(check, rng, n, tol, cluster_tol, planted, report):
         Bicomplex(complex(complex_normal(gen)) * 5.0, report.upsilon2.value_list()[0]),
         Bicomplex(far, far),
     ]
-    for _ in range(17):
-        kappas.append(random_scalar(rng.child(int(gen.integers(1 << 30))), 2.0))
+    kappas += [Bicomplex(complex(minus), complex(plus)) for minus, plus in complex_normal(gen, (17, 2)) * 2.0]
     for kappa, on_cylinder in zip(kappas, _raw_cylinder(op, cluster_tol, kappas)):
         check(
             on_cylinder == (report.classify_modified(kappa) is not None),
@@ -479,7 +504,7 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol, planted, report
         Bicomplex(report.upsilon1.value_list()[0], report.upsilon2.value_list()[0]),
     ]
     bound = _residual_bound(op, cluster_tol)
-    brutes = [brute_modified_eigenspace(op, kappa, cluster_tol) for kappa in kappas]
+    brutes = yield [shifted_block(op, kappa, cluster_tol) for kappa in kappas]
     for kappa, brute in zip(kappas, brutes):
         space = modified_eigenspace(report, kappa)
         check(
@@ -497,7 +522,8 @@ def _suite_eigenspace_structure(check, rng, n, tol, cluster_tol, planted, report
                     "one-sided basis vector not a singular nonzero vector",
                 )
     # rejection test: a vector outside the eigenspace has a clearly positive residual
-    kappa, brute = kappas[0], brutes[0]
+    kappa = kappas[0]
+    brute = brute_modified_eigenspace(op, kappa, cluster_tol)
     for attempt in range(20):
         probe = random_vector(rng.child(7, attempt), n)
         flat = np.concatenate([probe.minus, probe.plus])
@@ -578,20 +604,22 @@ def run_verify(
         )
     sizes = [n_min + trial % (n_max - n_min + 1) for trial in range(trials)]
     results = []
-    for suite_index, (name, statement, fn) in enumerate(SUITES):
+    for suite_index, (name, statement, run) in enumerate(SUITES):
         result = SuiteResult(name=name, statement=statement)
         rngs = [Rng(seed, (suite_index, trial)) for trial in range(trials)]
         analyses = repeat(())
         if name in _PROFILES:
             cycle = _PROFILES[name]
             analyses = _analyses(rngs, sizes, [cycle[trial % len(cycle)] for trial in range(trials)], cluster_tol)
-        for trial, (rng, n, analysed) in enumerate(zip(rngs, sizes, analyses)):
-            chk = _Check(f"seed={seed} suite={name} trial={trial} n={n}")
-            fn(chk, rng, n, tol, cluster_tol, *analysed)
-            if chk.messages:
-                result.failures += 1
-                if len(result.messages) < MAX_MESSAGES:
-                    result.messages.extend(chk.messages[: MAX_MESSAGES - len(result.messages)])
+        for block in _blocks(sizes):
+            checks = [_Check(f"seed={seed} suite={name} trial={trial} n={sizes[trial]}") for trial in block]
+            first, stop = block.start, block.stop
+            run(checks, rngs[first:stop], sizes[first:stop], tol, cluster_tol, [next(analyses) for _ in block])
+            for chk in checks:
+                if chk.messages:
+                    result.failures += 1
+                    if len(result.messages) < MAX_MESSAGES:
+                        result.messages.extend(chk.messages[: MAX_MESSAGES - len(result.messages)])
         results.append(result)
     return VerifyReport(results)
 

@@ -22,9 +22,9 @@ from bcspec.oracle import (
     classify_cartesian,
     elimination_nullspace,
     random_operator,
-    random_scalar,
     random_vector,
     residual,
+    shifted_block,
 )
 from bcspec.spectra import component_spectra
 from conftest import side_eigenspaces
@@ -221,6 +221,29 @@ class TestEliminationNullspace:
         assert basis.shape == (3, 2)
         assert np.allclose(a @ basis, 0)
 
+    def test_a_stack_gives_each_matrix_its_basis_alone(self):
+        # the four profiles' sides and blocks, shifted blocks at a computed and a far kappa and (2n + 2) x 2n blocks,
+        # stacked by shape, each at a threshold of its own; the 2 x 2 stack holds a pivot exactly at its threshold
+        rng = np.random.default_rng(29)
+        stacks = {(2, 2): [(np.diag([2.0, 0.5]).astype(complex), 0.5)]}
+        for profile, n in itertools.product(PROFILES, range(1, 7)):
+            op = random_operator(Rng(29, (PROFILES.index(profile), n)), n, profile).operator
+            y1 = component_spectra(op).upsilon1.value_list()[0]
+            shifted = [shifted_block(op, kappa)[0] for kappa in (Bicomplex(y1, y1), Bicomplex(100.0, 100.0j))]
+            tall = np.vstack([block_embed(op), rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))])
+            for a in (op.t1, op.t2, block_embed(op), *shifted, tall):
+                for threshold in (1e-10 * max(np.linalg.norm(a), 1.0) * max(a.shape), 10.0 ** rng.uniform(-12.0, 0.5)):
+                    stacks.setdefault(a.shape, []).append((a, threshold))
+        bases = {}
+        for shape, cases in stacks.items():
+            bases[shape] = elimination_nullspace(np.array([a for a, _ in cases]), [threshold for _, threshold in cases])
+            assert len(bases[shape]) == len(cases)
+            for (a, threshold), basis in zip(cases, bases[shape]):
+                assert np.array_equal(basis, elimination_nullspace(a, threshold)), shape
+        assert bases[2, 2][0].shape == (2, 1)
+        # most stacks hold matrices that stop pivoting at different columns
+        assert sum(len({basis.shape[1] for basis in got}) > 1 for got in bases.values()) > len(bases) // 2
+
 
 class TestBruteModifiedEigenspace:
     def test_worked_example_dims(self, ex_op):
@@ -327,6 +350,3 @@ class TestScalarOracles:
             assert len(set(at.values())) == 1, (trial, at)
             verdicts.add(at[100])
         assert verdicts == {IdealClass.IN_I1, IdealClass.NONSINGULAR}
-
-    def test_random_scalar_deterministic(self):
-        assert random_scalar(Rng(9, (1,))) == random_scalar(Rng(9, (1,)))

@@ -8,15 +8,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import bcspec.oracle
 import bcspec.spectra
 import bcspec.verify
 from bcspec.cli import main
 from bcspec.core import DEFAULT_TOL, Bicomplex
 from bcspec.linalg import DEFAULT_CLUSTER_TOL, eigenvalues, is_singular_matrix
 from bcspec.operators import is_singular_operator, shift
-from bcspec.oracle import PROFILES, Rng, random_operator, random_operators
+from bcspec.oracle import PROFILES, Rng, elimination_nullspace, random_operator, random_operators
 from bcspec.spectra import component_spectra, stacked_spectra
 from bcspec.verify import (
+    DEFAULT_SEED,
     MAX_WITNESSES,
     SUITES,
     _analyses,
@@ -237,6 +239,44 @@ def test_verify_route_changes_no_bits(monkeypatch, caps):
     assert len(got) == 40
     for rng, n, profile, pair in zip(rngs, sizes, profiles, got):
         assert _bits(*pair) == _bits(*_alone(rng, n, profile)), (n, profile)
+
+
+@pytest.mark.parametrize("seed, trials, tol", [(7, 60, DEFAULT_TOL), (20240901, 60, DEFAULT_TOL), (DEFAULT_SEED, 30, 1e-2)])
+def test_stacked_oracle_changes_no_report(monkeypatch, seed, trials, tol):
+    # one trial per block asks the oracle one trial at a time; the last run fails, so messages are compared too
+    report = run_verify(seed=seed, trials=trials, tol=tol)
+    monkeypatch.setattr(bcspec.verify, "_BLOCK_TRIALS", 1)
+    assert run_verify(seed=seed, trials=trials, tol=tol) == report
+    assert report.passed == (tol == DEFAULT_TOL)
+
+
+def test_one_stacked_elimination_per_block_round_and_shape(monkeypatch):
+    calls = Counter()
+    suite = []
+
+    def spy(a, threshold):
+        calls[suite[-1], np.shape(a)] += 1
+        return elimination_nullspace(a, threshold)
+
+    def entered(name, run):
+        return lambda *args: (suite.append(name), run(*args))[1]
+
+    monkeypatch.setattr(bcspec.oracle, "elimination_nullspace", spy)
+    monkeypatch.setattr(bcspec.verify, "elimination_nullspace", spy)
+    monkeypatch.setattr(bcspec.verify, "SUITES", [(name, s, entered(name, run)) for name, s, run in SUITES])
+    assert run_verify(seed=7, trials=12).passed
+    # one block of 12 trials, n = 1..6 twice; every suite asks in one round, and eigenspace_structure's
+    # rejection test orthonormalizes one block per trial alone
+    pairs = Counter({n: 2 for n in range(1, 7)})
+    kernel = Counter({1: 2, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1})  # square blocks of trials t % 4 != 3; 4, 2 and 6 are rectangular
+    want = Counter({("kernel_image", (k, 2 * n, 2 * n)): 1 for n, k in kernel.items()})
+    want.update({("kernel_image", (1, 2 * n + 2, 2 * n)): 1 for n in (2, 4, 6)})
+    for name, per_trial in (("operator_singularity", 2), ("shift_singularity", 6)):
+        want.update({(name, (per_trial * k, n, n)): 1 for n, k in pairs.items()})
+    for name, per_trial in (("modified_criterion", 4), ("infinite_family", 1), ("eigenspace_structure", 3)):
+        want.update({(name, (per_trial * k, 2 * n, 2 * n)): 1 for n, k in pairs.items()})
+    want.update({("eigenspace_structure", (2 * n, 2 * n)): k for n, k in pairs.items()})
+    assert calls == want
 
 
 def test_one_stacked_analysis_per_block_size_and_profile(monkeypatch):

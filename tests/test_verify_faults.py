@@ -19,6 +19,7 @@ import pytest
 import bcspec
 import bcspec.linalg
 import bcspec.operators
+import bcspec.oracle
 import bcspec.spectra
 import bcspec.verify
 from bcspec.core import DEFAULT_TOL, Bicomplex, IdealClass
@@ -80,6 +81,16 @@ def _shifted_reports(stacked):
     def faulty(ops, cluster_tol=bcspec.linalg.DEFAULT_CLUSTER_TOL):
         reports = stacked(ops, cluster_tol)
         return [SpectrumReport(op, r.upsilon1, r.upsilon2) for op, r in zip(ops, reports[1:] + reports[:1])]
+
+    return faulty
+
+
+def _rotated_answers(eliminate):
+    """Each stacked call answers every matrix with the next one's basis; a single matrix still gets its own."""
+
+    def faulty(a, threshold):
+        bases = eliminate(a, threshold)
+        return bases[1:] + bases[:1] if isinstance(bases, list) else bases
 
     return faulty
 
@@ -151,6 +162,10 @@ KILLED = {
         _replace(bcspec.spectra, "stacked_spectra", _shifted_reports),
         {"shift_singularity", "eigenvalue_criterion", "modified_criterion", "infinite_family",
          "cylinder_structure", "eigenspace_structure", "block_spectrum", "similarity_invariance"},
+    ),
+    "oracle answers rotated by one within each stacked call": (
+        _replace(bcspec.oracle, "elimination_nullspace", _rotated_answers),
+        {"kernel_image", "operator_singularity", "shift_singularity", "modified_criterion", "eigenspace_structure"},
     ),
     "is_eigenvalue asks Y1 only": (
         _replace(SpectrumReport, "is_eigenvalue", lambda _: lambda self, lam: self.upsilon1.contains(lam)),
