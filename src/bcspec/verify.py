@@ -6,14 +6,11 @@ on the components or the block embedding) over seeded random trials.  A
 failure message always carries the (seed, suite, trial) key that replays it
 bit-identically.
 
-Trials draw alone and are solved per stack.  A suite that checks one random
-operator per trial names the profiles it draws from (_suite's profiles).
-Each trial draws its operator from its own Rng(seed, (suite, trial)).child(0),
-so replay keys are unchanged; the runner then builds and analyses the
-operators of a block of trials one stack per (n, profile) (see _analyses)
-and hands each trial its (planted, report).  A trial that asks the
-elimination oracle yields its (matrix, threshold) requests; each round of
-a block is answered by one stacked call per matrix shape (see _suite).
+Trials draw alone and are solved per stack.  run_verify hands each suite's
+runner (see _suite) one block of trials at a time.  The runner draws each
+trial's operator from its own Rng(seed, (suite, trial)).child(0), so replay
+keys are unchanged, analyses the block one stack per (n, profile), and
+answers the block's oracle requests with one stacked call per matrix shape.
 
 Every threshold of the primary rules and oracle routes, and where it is computed (A is m x n,
 ||.|| the Frobenius norm, b the larger |z^±|, B = diag(t1, t2), B_kappa = B - diag(kappa^- I, kappa^+ I)):
@@ -197,24 +194,22 @@ def _blocks(sizes: list[int]):
         start = stop
 
 
-def _analyses(rngs: list[Rng], sizes: list[int], profiles: list[str], cluster_tol: float):
-    """(planted, report) for each trial i in order: its operator of size sizes[i] and profile profiles[i], and its analysis.
+def _analyse(rngs: list[Rng], sizes: list[int], profiles: tuple[str, ...], cluster_tol: float) -> list:
+    """(planted, report) for each trial of a block: its operator of size sizes[i], drawn on rngs[i].child(0), and its analysis.
 
-    Each block of trials (see _blocks) is drawn and analysed before its
-    first trial is handed out: the trials of one (n, profile) by one
-    random_operators call on their rngs[i].child(0) and one stacked_spectra
+    Trial t draws profiles[t % len(profiles)].  The trials of one (n, profile)
+    are drawn by one random_operators call and analysed by one stacked_spectra
     call, bit for bit what random_operator and component_spectra give each.
     """
-    for block in _blocks(sizes):
-        groups: dict[tuple[int, str], list[int]] = {}
-        for i in block:
-            groups.setdefault((sizes[i], profiles[i]), []).append(i)
-        analysed = {}
-        for (n, profile), members in groups.items():
-            planted = random_operators([rngs[i].child(0) for i in members], n, profile)
-            analysed.update(zip(members, zip(planted, stacked_spectra([p.operator for p in planted], cluster_tol))))
-        for i in block:
-            yield analysed.pop(i)
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, (rng, n) in enumerate(zip(rngs, sizes)):
+        groups.setdefault((n, profiles[rng.stream[-1] % len(profiles)]), []).append(i)
+    analysed = [None] * len(rngs)
+    for (n, profile), members in groups.items():
+        planted = random_operators([rngs[i].child(0) for i in members], n, profile)
+        for i, pair in zip(members, zip(planted, stacked_spectra([p.operator for p in planted], cluster_tol))):
+            analysed[i] = pair
+    return analysed
 
 
 def _residual_bound(op: BicomplexOperator, cluster_tol: float) -> float:
@@ -238,8 +233,6 @@ def _match_multisets(left: list[complex], right: list[complex], tol_abs: float) 
 
 #: (name, statement, fn) per suite, in definition order; a trial's Rng is keyed by its suite's index here.
 SUITES: list[tuple[str, str, object]] = []
-#: By suite name, the profiles a suite that checks one random operator per trial cycles through: trial t draws profiles[t % len].
-_PROFILES: dict[str, tuple[str, ...]] = {}
 
 
 def _answer(requests: list[list[tuple[np.ndarray, float]]]) -> list[list[np.ndarray]]:
@@ -256,29 +249,27 @@ def _answer(requests: list[list[tuple[np.ndarray, float]]]) -> list[list[np.ndar
 def _suite(statement: str, profiles: tuple[str, ...] = ()):
     """Register the decorated _suite_<name> function under <name> with the statement it checks, as a runner of a block of trials.
 
-    fn checks one trial; with profiles it also takes the trial's (planted,
-    report) (see _analyses).  A trial that asks the elimination oracle is a
-    generator that yields lists of (matrix, threshold) requests and is sent
-    their bases.  The runner drives a block's trials round by round and
-    answers each round of the block with _answer.
+    fn checks one trial; with profiles the runner first draws and analyses
+    the block (see _analyse) and fn also takes the trial's (planted, report).
+    A trial that asks the elimination oracle is a generator that yields one
+    list of (matrix, threshold) requests and is sent their bases; the runner
+    runs every trial to its request and answers the block's requests with
+    one _answer call.
     """
 
     def register(fn):
         name = fn.__name__.removeprefix("_suite_")
 
-        def run(checks, rngs, sizes, tol, cluster_tol, analysed):
-            trials = [fn(*args, tol, cluster_tol, *pair) for *args, pair in zip(checks, rngs, sizes, analysed)]
-            rounds = [(trial, None) for trial in trials if trial is not None]
-            while rounds:
-                asked = []
-                for trial, answer in rounds:
-                    with suppress(StopIteration):
-                        asked.append((trial, trial.send(answer)))
-                rounds = list(zip([trial for trial, _ in asked], _answer([requests for _, requests in asked])))
+        def run(checks, rngs, sizes, tol, cluster_tol):
+            pairs = _analyse(rngs, sizes, profiles, cluster_tol) if profiles else repeat(())
+            trials = [fn(*args, tol, cluster_tol, *pair) for *args, pair in zip(checks, rngs, sizes, pairs)]
+            asking = [trial for trial in trials if trial is not None]
+            for trial, answer in zip(asking, _answer([trial.send(None) for trial in asking])):
+                with suppress(StopIteration):
+                    trial.send(answer)
+                    raise RuntimeError(f"a trial of suite {name} asked the elimination oracle a second time")
 
         SUITES.append((name, statement, run))
-        if profiles:
-            _PROFILES[name] = profiles
         return fn
 
     return register
@@ -606,15 +597,10 @@ def run_verify(
     results = []
     for suite_index, (name, statement, run) in enumerate(SUITES):
         result = SuiteResult(name=name, statement=statement)
-        rngs = [Rng(seed, (suite_index, trial)) for trial in range(trials)]
-        analyses = repeat(())
-        if name in _PROFILES:
-            cycle = _PROFILES[name]
-            analyses = _analyses(rngs, sizes, [cycle[trial % len(cycle)] for trial in range(trials)], cluster_tol)
         for block in _blocks(sizes):
             checks = [_Check(f"seed={seed} suite={name} trial={trial} n={sizes[trial]}") for trial in block]
-            first, stop = block.start, block.stop
-            run(checks, rngs[first:stop], sizes[first:stop], tol, cluster_tol, [next(analyses) for _ in block])
+            rngs = [Rng(seed, (suite_index, trial)) for trial in block]
+            run(checks, rngs, sizes[block.start : block.stop], tol, cluster_tol)
             for chk in checks:
                 if chk.messages:
                     result.failures += 1
@@ -669,8 +655,9 @@ def run_sum_search(
     rngs = [Rng(seed, (997, trial)) for trial in range(trials)]
     if operator is None:
         sizes = [n_min + trial % (n_max - n_min + 1) for trial in range(trials)]
-        profiles = [("generic", "shared-eigenvalue")[trial % 2] for trial in range(trials)]
-        reports = (report for _, report in _analyses(rngs, sizes, profiles, cluster_tol))
+        profiles = ("generic", "shared-eigenvalue")
+        blocks = (slice(block.start, block.stop) for block in _blocks(sizes))
+        reports = (report for b in blocks for _, report in _analyse(rngs[b], sizes[b], profiles, cluster_tol))
     else:
         reports = repeat(component_spectra(operator, cluster_tol))
     for trial, (rng, report) in enumerate(zip(rngs, reports)):

@@ -21,10 +21,11 @@ from bcspec.verify import (
     DEFAULT_SEED,
     MAX_WITNESSES,
     SUITES,
-    _analyses,
+    _analyse,
     _blocks,
     _raw_cylinder,
     _shifted_singular,
+    _suite,
     run_sum_search,
     run_verify,
 )
@@ -234,11 +235,11 @@ def test_verify_route_changes_no_bits(monkeypatch, caps):
         monkeypatch.setattr(bcspec.verify, "_BLOCK_ENTRIES", caps[1])
     rngs = [Rng(11, (4, trial)) for trial in range(40)]
     sizes = [1 + trial % 9 for trial in range(40)]
-    profiles = [PROFILES[trial % 4] for trial in range(40)]
-    got = list(_analyses(rngs, sizes, profiles, DEFAULT_CLUSTER_TOL))
+    blocks = [slice(b.start, b.stop) for b in _blocks(sizes)]
+    got = [pair for b in blocks for pair in _analyse(rngs[b], sizes[b], PROFILES, DEFAULT_CLUSTER_TOL)]
     assert len(got) == 40
-    for rng, n, profile, pair in zip(rngs, sizes, profiles, got):
-        assert _bits(*pair) == _bits(*_alone(rng, n, profile)), (n, profile)
+    for trial, (rng, n, pair) in enumerate(zip(rngs, sizes, got)):
+        assert _bits(*pair) == _bits(*_alone(rng, n, PROFILES[trial % 4])), (n, trial)
 
 
 @pytest.mark.parametrize("seed, trials, tol", [(7, 60, DEFAULT_TOL), (20240901, 60, DEFAULT_TOL), (DEFAULT_SEED, 30, 1e-2)])
@@ -248,6 +249,41 @@ def test_stacked_oracle_changes_no_report(monkeypatch, seed, trials, tol):
     monkeypatch.setattr(bcspec.verify, "_BLOCK_TRIALS", 1)
     assert run_verify(seed=seed, trials=trials, tol=tol) == report
     assert report.passed == (tol == DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("caps", [(1, bcspec.verify._BLOCK_ENTRIES), (bcspec.verify._BLOCK_TRIALS, 60)])
+def test_blocked_sum_search_changes_no_report(monkeypatch, caps):
+    # one-trial blocks, and blocks of at most 60 matrix entries (one to three trials), against the one default block
+    report = run_sum_search(seed=5, trials=40, n_min=2, n_max=4)
+    monkeypatch.setattr(bcspec.verify, "_BLOCK_TRIALS", caps[0])
+    monkeypatch.setattr(bcspec.verify, "_BLOCK_ENTRIES", caps[1])
+    assert run_sum_search(seed=5, trials=40, n_min=2, n_max=4) == report
+    assert report.direct_count > 0 and report.non_direct_count > 0
+
+
+def test_an_asking_trial_asks_once_and_runs_on(monkeypatch):
+    monkeypatch.setattr(bcspec.verify, "SUITES", [])
+    sent = []
+
+    @_suite("asks once; its check after the answer fails")
+    def _suite_asks_once(check, rng, n, tol, cluster_tol):
+        (basis,) = yield [(np.zeros((n, n)), 0.5)]
+        sent.append(basis.shape)
+        check(False, "checked after the answer")
+
+    report = run_verify(trials=2, n_min=2, n_max=3)
+    assert sent == [(2, 2), (3, 3)]
+    (result,) = report.suites
+    assert (result.name, result.failures, len(result.messages)) == ("asks_once", 2, 2)
+    assert result.messages[0] == "[seed=20240901 suite=asks_once trial=0 n=2] checked after the answer"
+
+    @_suite("asks twice")
+    def _suite_asks_twice(check, rng, n, tol, cluster_tol):
+        yield [(np.eye(n), 0.5)]
+        yield [(np.eye(n), 0.5)]
+
+    with pytest.raises(RuntimeError, match="suite asks_twice"):
+        run_verify(trials=2)
 
 
 def test_one_stacked_elimination_per_block_round_and_shape(monkeypatch):
