@@ -29,8 +29,8 @@ from pathlib import Path
 from . import jsonio
 from .core import DEFAULT_TOL, IDEAL_CLASSES, Bicomplex, classify_parts
 from .errors import BcspecError, ConvergenceError, NonFiniteValueError, NotModifiedEigenvalueError, ParseError
-from .linalg import DEFAULT_CLUSTER_TOL, is_singular_matrix
-from .operators import classify_vector
+from .linalg import DEFAULT_CLUSTER_TOL
+from .operators import BicomplexOperator, classify_vector, is_singular_operator
 from .spectra import ModifiedCase, component_spectra, eigenspace_sum, modified_eigenspace
 from .verify import DEFAULT_N_MAX, DEFAULT_N_MIN, DEFAULT_SEED, DEFAULT_TRIALS, SEARCH_N_MAX, SEARCH_N_MIN, run_sum_search, run_verify
 
@@ -130,18 +130,18 @@ def _cmd_decompose(args, report: dict) -> int:
     else:
         if isinstance(obj, dict) and "t1" in obj:
             op = jsonio.parse_operator(obj)
-            minus, plus = op.t1, op.t2
         else:
             matrix = jsonio.parse_matrix(obj)
-            minus, plus = matrix.minus, matrix.plus
+            op = BicomplexOperator(matrix.minus, matrix.plus)
+        minus, plus = op.t1, op.t2
         report["kind"] = "matrix"
         report["shape"] = list(minus.shape)
         report["minus"] = jsonio.carray_to_json(minus)
         report["plus"] = jsonio.carray_to_json(plus)
         names = [c.value for c in IDEAL_CLASSES]
         report["entry_classes"] = [[names[c] for c in row] for row in classify_parts(minus, plus, tol).tolist()]
-        if minus.shape[0] == minus.shape[1]:  # T is singular iff t1 or t2 is (see is_singular_operator)
-            report["operator_singular"] = any(is_singular_matrix((minus, plus), tol))
+        if op.is_square:
+            report["operator_singular"] = is_singular_operator(op, tol)
     return EXIT_OK
 
 

@@ -19,8 +19,9 @@ I1 = C1*e1 and I2 = C1*e2), equivalently those with |z1**2 + z2**2| = 0.
 
 from __future__ import annotations
 
-import math
+import cmath
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,13 +68,9 @@ def classify_parts(minus, plus, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (am <= thr) + 2 * (ap <= thr)
 
 
-def _is_finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def _finite_complex(value, what: str) -> complex:
     z = complex(value)
-    if not _is_finite(z):
+    if not cmath.isfinite(z):
         raise NonFiniteValueError(f"{what} must be finite, got {z!r}")
     return z
 
@@ -97,7 +94,7 @@ class Bicomplex:
         z1 = _finite_complex(z1, "z1")
         z2 = _finite_complex(z2, "z2")
         minus, plus = z1 - 1j * z2, z1 + 1j * z2
-        if not (_is_finite(minus) and _is_finite(plus)):
+        if not (cmath.isfinite(minus) and cmath.isfinite(plus)):
             raise NonFiniteValueError("conversion to idempotent components overflows float range")
         return cls(minus, plus)
 
@@ -121,8 +118,8 @@ class Bicomplex:
         # Near the top of the float range the sum or difference overflows, and
         # complex division turns the infinity into NaN; halve first only there,
         # since halving first flips the sign of some zeros.
-        z1 = total / 2 if _is_finite(total) else self.minus / 2 + self.plus / 2
-        z2 = 1j * diff / 2 if _is_finite(diff) else 1j * (self.minus / 2 - self.plus / 2)
+        z1 = total / 2 if cmath.isfinite(total) else self.minus / 2 + self.plus / 2
+        z2 = 1j * diff / 2 if cmath.isfinite(diff) else 1j * (self.minus / 2 - self.plus / 2)
         return z1, z2
 
     def to_real(self) -> tuple[float, float, float, float]:
@@ -132,12 +129,16 @@ class Bicomplex:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def _componentwise(self, other, op):
+        """op on each idempotent component, (x op y)^± = x^± op y^±; a complex scalar embeds diagonally, anything else is NotImplemented."""
         if isinstance(other, Bicomplex):
-            return Bicomplex(self.minus + other.minus, self.plus + other.plus)
+            return Bicomplex(op(self.minus, other.minus), op(self.plus, other.plus))
         if isinstance(other, numbers.Complex):
-            return Bicomplex(self.minus + other, self.plus + other)
+            return Bicomplex(op(self.minus, other), op(self.plus, other))
         return NotImplemented
+
+    def __add__(self, other):
+        return self._componentwise(other, operator.add)
 
     __radd__ = __add__
 
@@ -145,23 +146,13 @@ class Bicomplex:
         return Bicomplex(-self.minus, -self.plus)
 
     def __sub__(self, other):
-        if isinstance(other, Bicomplex):
-            return Bicomplex(self.minus - other.minus, self.plus - other.plus)
-        if isinstance(other, numbers.Complex):
-            return Bicomplex(self.minus - other, self.plus - other)
-        return NotImplemented
+        return self._componentwise(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        # Componentwise: (x*y)^- = x^- y^-, (x*y)^+ = x^+ y^+.  A complex
-        # scalar embeds diagonally, so scaling is the same rule.
-        if isinstance(other, Bicomplex):
-            return Bicomplex(self.minus * other.minus, self.plus * other.plus)
-        if isinstance(other, numbers.Complex):
-            return Bicomplex(self.minus * other, self.plus * other)
-        return NotImplemented
+        return self._componentwise(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -184,7 +175,7 @@ class Bicomplex:
         if cls is not IdealClass.NONSINGULAR:
             raise SingularElementError(f"no inverse: {self!r} classifies as {cls.value}")
         minus, plus = 1.0 / self.minus, 1.0 / self.plus
-        if not (_is_finite(minus) and _is_finite(plus)):  # 1/z overflows when 0 < |z| < ~5.6e-309
+        if not (cmath.isfinite(minus) and cmath.isfinite(plus)):  # 1/z overflows when 0 < |z| < ~5.6e-309
             raise NonFiniteValueError(f"inverse of {self!r} overflows float range")
         return Bicomplex(minus, plus)
 

@@ -1,7 +1,7 @@
 """Dense complex linear algebra over C1.
 
 Everything the componentwise bicomplex computations need: one rank
-decision behind singularity tests, nullspaces and column spaces as (n, k)
+rule behind singularity tests, nullspaces and column spaces as (n, k)
 arrays of orthonormal columns, an eigensolver that clusters (value, count)
 pairs and keeps the eigenvector of each simple eigenvalue, and one
 membership rule (EigenSet.near).  Clustering scans every pair in plain
@@ -171,8 +171,10 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> np
     """Orthonormal basis of {v : A v ≈ 0} as the columns of an (n, k) array: the trailing right singular vectors.
 
     Rank is decided by the singular values at the threshold described in
-    _svd, the same decision is_singular_matrix makes, so the decision errs
-    toward a larger nullspace.
+    _svd, so the decision errs toward a larger nullspace.  It is the rule
+    is_singular_matrix applies, but is_singular_matrix takes its singular
+    values from an SVD without vectors: their last bits can differ, and at
+    a threshold between the two the verdicts do.
     """
     a = as_carray(a)
     m, n = a.shape

@@ -22,23 +22,16 @@ from .operators import BicomplexOperator, BicomplexVector
 class Rng:
     """Deterministic random source: PCG64 keyed by (seed, *stream).
 
-    SeedSequence hashes the key's uint32 words, each int's little-endian
-    32-bit words (one below 2**32, one zero word for 0), as numpy does the
-    list [seed, *stream].  Equal keys give bit-identical sample streams on
-    every platform, so any failure reported with its key replays exactly.
+    The key is numpy's SeedSequence entropy [seed, *stream].  Equal keys
+    give bit-identical sample streams on every platform, so any failure
+    reported with its key replays exactly.
     """
 
     seed: int
     stream: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
-        words = []
-        for k in (self.seed, *self.stream):
-            while k > 0xFFFFFFFF:
-                k, low = divmod(k, 1 << 32)
-                words.append(low)
-            words.append(k)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, *self.stream])))
 
     def child(self, *indices: int) -> "Rng":
         return Rng(self.seed, self.stream + tuple(indices))

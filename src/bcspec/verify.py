@@ -171,9 +171,11 @@ def _check_run(seed: int, trials: int) -> None:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
 
 
-def _check_sizes(n_min: int, n_max: int) -> None:
+def _sizes(trials: int, n_min: int, n_max: int) -> list[int]:
+    """The size of each trial, cycling n_min..n_max."""
     if not (1 <= n_min <= n_max):
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
+    return [n_min + trial % (n_max - n_min + 1) for trial in range(trials)]
 
 
 def _blocks(sizes: list[int]):
@@ -587,13 +589,12 @@ def run_verify(
 ) -> VerifyReport:
     """Run every suite for `trials` seeded trials with n cycling n_min..n_max, at a tol with tol * n_max < 1."""
     _check_run(seed, trials)
-    _check_sizes(n_min, n_max)
+    sizes = _sizes(trials, n_min, n_max)
     if tol * n_max >= 1:
         raise InvalidArgumentError(
             f"need tol * n_max < 1, got {tol!r} * {n_max}: the rank rule sigma <= tol * max(||A||_F, 1) * n"
             " calls every n x n matrix singular once tol * n >= 1"
         )
-    sizes = [n_min + trial % (n_max - n_min + 1) for trial in range(trials)]
     results = []
     for suite_index, (name, statement, run) in enumerate(SUITES):
         result = SuiteResult(name=name, statement=statement)
@@ -648,13 +649,11 @@ def run_sum_search(
     checked nor used.
     """
     _check_run(seed, trials)
-    if operator is None:
-        _check_sizes(n_min, n_max)
     direct = non_direct = 0
     witnesses: list[SumWitness] = []
     rngs = [Rng(seed, (997, trial)) for trial in range(trials)]
     if operator is None:
-        sizes = [n_min + trial % (n_max - n_min + 1) for trial in range(trials)]
+        sizes = _sizes(trials, n_min, n_max)
         profiles = ("generic", "shared-eigenvalue")
         blocks = (slice(block.start, block.stop) for block in _blocks(sizes))
         reports = (report for b in blocks for _, report in _analyse(rngs[b], sizes[b], profiles, cluster_tol))
