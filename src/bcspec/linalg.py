@@ -137,10 +137,9 @@ class EigenSet:
         return bool(self.near(lam))
 
 
-def _svd(stack: np.ndarray, tol: float, threshold: float | None = None, vectors: bool = False):
-    """The rank of each A of the (k, m, n) stack, and one SVD of the stack of s*A, each A scaled in place (see _scaled).
+def _svd(stack: np.ndarray, tol: float, threshold: float | None = None):
+    """(ranks, u, vh): the rank of each A of the (k, m, n) stack, and the vectors of one SVD of the stack of s*A, each A scaled in place (see _scaled).
 
-    The SVD gives the singular values, or with vectors (u, sigma, vh).
     Singular values at or below the threshold, scaled alike, count as zero,
     so a tie errs toward rank deficiency.  The default threshold
     tol * max(||A||_F, 1) * max(rows, cols) is computed as
@@ -150,13 +149,12 @@ def _svd(stack: np.ndarray, tol: float, threshold: float | None = None, vectors:
     """
     scales, norms = _scaled(stack)
     try:
-        factors = np.linalg.svd(stack, compute_uv=vectors)
+        u, sigmas, vh = np.linalg.svd(stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
-    sigmas = factors[1] if vectors else factors
     with np.errstate(over="ignore"):  # a bound beyond float range is inf
         bounds = tol * np.maximum(norms, scales) * max(stack.shape[1:]) if threshold is None else scales * threshold
-    return np.count_nonzero(sigmas > bounds[:, None], axis=1).tolist(), factors
+    return np.count_nonzero(sigmas > bounds[:, None], axis=1).tolist(), u, vh
 
 
 def is_singular_matrix(a, tol: float = DEFAULT_TOL) -> bool | list[bool]:
@@ -171,17 +169,14 @@ def nullspace(a, tol: float = DEFAULT_TOL, threshold: float | None = None) -> np
     """Orthonormal basis of {v : A v ≈ 0} as the columns of an (n, k) array: the trailing right singular vectors.
 
     Rank is decided by the singular values at the threshold described in
-    _svd, so the decision errs toward a larger nullspace.  It is the rule
-    is_singular_matrix applies, but is_singular_matrix takes its singular
-    values from an SVD without vectors: their last bits can differ, and at
-    a threshold between the two the verdicts do.
+    _svd, so the decision errs toward a larger nullspace.
     """
     a = as_carray(a)
     m, n = a.shape
     if m == 0 or n == 0:  # every vector of C^n is in the nullspace of an empty A
         return np.eye(n, dtype=np.complex128)
 
-    [rank], (_, _, [vh]) = _svd(np.array(a[None]), tol, threshold, vectors=True)
+    [rank], _, [vh] = _svd(np.array(a[None]), tol, threshold)
     if rank == 0:
         return np.eye(n, dtype=np.complex128)
     return vh[rank:].conj().T
@@ -193,7 +188,7 @@ def column_space(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     m, n = a.shape
     if m == 0 or n == 0:
         return np.zeros((m, 0), dtype=np.complex128)
-    [rank], ([u], _, _) = _svd(np.array(a[None]), tol, vectors=True)
+    [rank], [u], _ = _svd(np.array(a[None]), tol)
     return u[:, :rank]
 
 

@@ -176,12 +176,7 @@ def assemble_pair_basis(pair: tuple[np.ndarray, np.ndarray]) -> list[BicomplexVe
 
 
 def is_singular_operator(op: BicomplexOperator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff t1 or t2 is singular; one SVD call decides both.
-
-    Each component is decided by the rank rule that kernel uses, at the same
-    threshold, but on singular values computed without vectors, whose last
-    bits can differ from kernel's (see nullspace).
-    """
+    """True iff t1 or t2 is singular; one SVD call decides both."""
     if not op.is_square:
         raise NonSquareError(f"singularity is defined for square operators, got {op.shape}")
     return any(is_singular_matrix((op.t1, op.t2), tol))

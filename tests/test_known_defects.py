@@ -18,10 +18,9 @@ import pytest
 
 import bcspec.oracle
 import bcspec.verify
-from bcspec import Bicomplex, BicomplexOperator, component_spectra, eigenvalues, is_singular_operator, kernel, shift
+from bcspec import Bicomplex, BicomplexOperator, component_spectra, eigenvalues, is_singular_operator, shift
 from bcspec.cli import main
 from bcspec.jsonio import carray_to_json
-from bcspec.linalg import _scaled
 from bcspec.verify import DEFAULT_N_MAX, DEFAULT_N_MIN, SUITES, run_verify
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -131,36 +130,3 @@ def test_every_profile_meets_every_size(monkeypatch):
     run_verify(trials=60)
     sizes = set(range(DEFAULT_N_MIN, DEFAULT_N_MAX + 1))
     assert {key: sorted(sizes - seen) for key, seen in drawn.items() if seen != sizes} == {}
-
-
-# -- item 17: two SVD calls decide the rank of one matrix -------------------
-
-
-def dependent_columns(count: int) -> list[np.ndarray]:
-    """Complex Gaussian n x n matrices, n = 2..12 in turn, each with its last column a combination of the others."""
-    rng = np.random.default_rng(17)
-    out = []
-    for k in range(count):
-        n = 2 + k % 11
-        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        a[:, -1] = a[:, :-1] @ (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
-        out.append(a)
-    return out
-
-
-@known_defect(17, "is_singular_matrix reads sigma from svd(compute_uv=False), nullspace from svd with vectors")
-def test_singular_verdict_agrees_with_the_kernel_at_every_tol():
-    split = []
-    for a in dependent_columns(44):
-        n = a.shape[0]
-        stack = np.array(a[None])
-        [s], [norm] = _scaled(stack)  # the scaled copy and the threshold scale _svd uses
-        lo, hi = sorted((np.linalg.svd(stack, compute_uv=False)[0, -1], np.linalg.svd(stack)[1][0, -1]))
-        scale = max(norm, s) * n
-        tol = float(np.sqrt(lo * hi)) / scale
-        if not lo <= tol * scale < hi:  # equal bits, or no tol between them
-            continue
-        op = BicomplexOperator(a, a)
-        if is_singular_operator(op, tol) != (sum(b.shape[1] for b in kernel(op, tol)) > 0):
-            split.append((n, tol))
-    assert split == []

@@ -1,13 +1,16 @@
 """Complex linear algebra: rank decisions, nullspaces, eigensolver, subspace arithmetic."""
 
+import ast
 import cmath
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcspec
 from bcspec import (
     Bicomplex,
     BicomplexOperator,
@@ -19,6 +22,8 @@ from bcspec import (
     eigenspace_sum,
     eigenvalues,
     is_singular_matrix,
+    is_singular_operator,
+    kernel,
     modified_eigenspace,
     nullspace,
     column_space,
@@ -244,6 +249,57 @@ class TestSingularityAgreement:
         for a in (0.01 * np.eye(6), np.eye(17), 0.1 * np.eye(50), 10.0 * np.eye(200), q):
             assert not is_singular_matrix(a)
             assert nullspace(a).shape[1] == 0
+
+    def test_singular_verdict_agrees_with_the_kernel_at_every_tol(self):
+        # each tol sits between the sigma_min of an SVD without vectors and that of one with them,
+        # so a singular verdict read from a different SVD call than the kernel's would split from it
+        examined, split = 0, []
+        for a in dependent_columns(44):
+            n = a.shape[0]
+            stack = np.array(a[None])
+            [s], [norm] = _scaled(stack)  # the scaled copy and the threshold scale _svd uses
+            lo, hi = sorted((np.linalg.svd(stack, compute_uv=False)[0, -1], np.linalg.svd(stack)[1][0, -1]))
+            scale = max(norm, s) * n
+            tol = float(np.sqrt(lo * hi)) / scale
+            if not lo <= tol * scale < hi:  # equal bits, or no tol between them
+                continue
+            examined += 1
+            op = BicomplexOperator(a, a)
+            if is_singular_operator(op, tol) != (sum(b.shape[1] for b in kernel(op, tol)) > 0):
+                split.append((n, tol))
+        assert examined > 0, "no matrix put a tol between the two sigma_min values, so nothing was checked"
+        assert split == []
+
+
+def dependent_columns(count: int) -> list[np.ndarray]:
+    """Complex Gaussian n x n matrices, n = 2..12 in turn, each with its last column a combination of the others."""
+    rng = np.random.default_rng(17)
+    out = []
+    for k in range(count):
+        n = 2 + k % 11
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        a[:, -1] = a[:, :-1] @ (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+        out.append(a)
+    return out
+
+
+def test_every_rank_decision_reads_one_svd_call():
+    # singularity, nullspace and column space read sigma from _svd's one call, with vectors
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "svd":
+                sites.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+    for path in sorted(Path(bcspec.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "compute_uv" not in text, path.name
+        visit(ast.parse(text), path.stem)
+    assert sites == ["linalg._svd"]
 
 
 #: Entries of the top-of-range CLI fuzz operators (test_cli_fuzz.top), as complex numbers.

@@ -101,8 +101,8 @@ def _near_at(factor):
 
 def _rank_threshold_times(factor):
     def make(svd):
-        def faulty(stack, tol, threshold=None, vectors=False):
-            return svd(stack, tol * factor, None if threshold is None else threshold * factor, vectors)
+        def faulty(stack, tol, threshold=None):
+            return svd(stack, tol * factor, None if threshold is None else threshold * factor)
 
         return faulty
 
